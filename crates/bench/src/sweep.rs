@@ -211,6 +211,7 @@ impl SweepSpec {
             .uop_cache
             .with_entries(geometry("entries", cfg.uop_cache.entries)?)
             .with_ways(geometry("ways", cfg.uop_cache.ways)?);
+        cfg.uop_cache.validate().map_err(|e| e.to_string())?;
         let names = |field: &str| -> Result<Vec<String>, String> {
             j.field(field)
                 .map_err(|e| e.to_string())?
@@ -1077,6 +1078,10 @@ mod tests {
             r#"{"config":"zen3","apps":[],"policies":["lru"]}"#,
             r#"{"config":"zen3","apps":["kafka"],"policies":[]}"#,
             r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"len":"x"}"#,
+            // Geometries a cache cannot be built from: an error, not a panic.
+            r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"entries":7,"ways":3}"#,
+            r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"ways":0}"#,
+            r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"entries":130,"ways":65}"#,
         ] {
             let j = Json::parse(bad).expect("valid JSON");
             assert!(

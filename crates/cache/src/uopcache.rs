@@ -110,6 +110,10 @@ pub struct UopCache {
     /// `sets - 1` when the set count is a power of two (the common
     /// geometries); `None` falls back to a modulo.
     set_mask: Option<u64>,
+    /// High-water mark of `PwDesc::bytes` over every PW made resident —
+    /// bounds how many lines a resident PW can span (see
+    /// [`UopCache::invalidate_line`]). Never decreases.
+    max_pw_bytes: u64,
     /// Scratch buffer for the slot-ordered resident slice handed to the
     /// policy (capacity `ways`, reused across insertions — never grows).
     resident_scratch: Vec<PwMeta>,
@@ -162,6 +166,7 @@ impl UopCache {
             set_mask: u64::from(set_count)
                 .is_power_of_two()
                 .then(|| u64::from(set_count) - 1),
+            max_pw_bytes: 0,
             resident_scratch: Vec::with_capacity(cfg.ways as usize),
             evicted_scratch: Vec::with_capacity(cfg.ways as usize),
             #[cfg(feature = "obs")]
@@ -449,6 +454,7 @@ impl UopCache {
             self.evicted_scratch.push(removed.desc); // audit:allow(hot-path-alloc) — scratch is cleared, never shrunk: warmed capacity absorbs every push
         }
         let meta = self.sets[set_idx].insert(*pw, entries, self.now);
+        self.max_pw_bytes = self.max_pw_bytes.max(u64::from(pw.bytes));
         self.policy.on_insert(set_idx, &meta);
         self.stats.insertions += 1;
         self.stats.entries_written += u64::from(entries);
@@ -480,21 +486,57 @@ impl UopCache {
     /// Invalidates every resident PW that touches the given i-cache line
     /// (called on L1i evictions when the micro-op cache is inclusive).
     /// Returns the number of PWs invalidated.
+    ///
+    /// Only the sets that can hold such a PW are scanned. A PW lives in the
+    /// set of its start line, and one of `b` bytes starting on the last byte
+    /// of a line reaches `k = (b + line_bytes - 2) / line_bytes` lines
+    /// further. With `b` the high-water mark of the bytes of every PW ever
+    /// made resident, a PW touching line `L` therefore starts in one of the
+    /// lines `L-k ..= L` (clipped at line 0), and only their sets are
+    /// candidates. When those `k + 1` lines cover every set (or exceed the
+    /// stack buffer), the candidates are simply all sets. Generated traces
+    /// cut PWs at line ends, so `k` is 1 and two sets are scanned.
+    ///
+    /// Candidates are visited in ascending set index — the order of a scan
+    /// over all sets — even when the candidate lines wrap past set 0. The
+    /// policy's `on_invalidate` callbacks and the recorded `Invalidate`
+    /// events therefore come out in exactly the order a full scan produces,
+    /// which keeps stateful policies and the decision-stream digests
+    /// unchanged.
+    // audit:hot-path — per-L1i-eviction inclusion path; must stay allocation-free warmed
     pub fn invalidate_line(&mut self, line: LineAddr) -> u32 {
+        /// Most candidate sets kept on the stack; a wider span scans all.
+        const MAX_CANDIDATES: usize = 16;
+        let set_count = self.sets.len();
+        let span = (self.max_pw_bytes + self.line_bytes).saturating_sub(2) / self.line_bytes;
+        let last = line.base().get() >> self.set_shift;
+        let first = last.saturating_sub(span);
+        let mut candidates = [0usize; MAX_CANDIDATES];
+        let n = match usize::try_from(last - first + 1) {
+            Ok(n) if n < set_count && n <= MAX_CANDIDATES => {
+                for (c, l) in candidates.iter_mut().zip(first..=last) {
+                    *c = self.set_of_line(l);
+                }
+                candidates[..n].sort_unstable();
+                n
+            }
+            _ => set_count,
+        };
+        let scan_all = n == set_count;
         let mut invalidated = 0;
-        for set_idx in 0..self.sets.len() {
+        for set_idx in (0..n).map(|i| if scan_all { i } else { candidates[i] }) {
             // At most `ways` (≤ 64) victims per set: a stack buffer keeps
             // the inclusion path allocation-free.
             let mut victims = [0u8; 64];
-            let mut n = 0;
+            let mut hits = 0;
             for m in self.sets[set_idx]
                 .residents()
                 .filter(|m| m.desc.lines(self.line_bytes).any(|l| l == line))
             {
-                victims[n] = m.slot;
-                n += 1;
+                victims[hits] = m.slot;
+                hits += 1;
             }
-            for &slot in &victims[..n] {
+            for &slot in &victims[..hits] {
                 let removed = self.sets[set_idx].remove_slot(slot);
                 self.policy.on_invalidate(set_idx, &removed);
                 self.stats.inclusion_invalidations += 1;
@@ -550,7 +592,13 @@ impl UopCache {
     /// Produces identical indices to that method.
     #[inline]
     fn set_index(&self, start: Addr) -> usize {
-        let line = start.get() >> self.set_shift;
+        self.set_of_line(start.get() >> self.set_shift)
+    }
+
+    /// Set index for the line with index `line` (a byte address shifted
+    /// right by `log2(line_bytes)`).
+    #[inline]
+    fn set_of_line(&self, line: u64) -> usize {
         #[allow(clippy::cast_possible_truncation)]
         match self.set_mask {
             Some(mask) => (line & mask) as usize,
@@ -574,6 +622,9 @@ impl std::fmt::Debug for UopCache {
 mod tests {
     use super::*;
     use crate::lru::LruPolicy;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use uopcache_model::rng::{Prng, Rng};
     use uopcache_model::PwTermination;
 
     fn pw(start: u64, uops: u32) -> PwDesc {
@@ -822,6 +873,206 @@ mod tests {
                 .any(|e| e.kind == EventKind::Evict && e.verdict == Verdict::Primary),
             "LRU victim selection is a primary verdict: {events:?}"
         );
+    }
+
+    /// Policy hooks in arrival order: `(hook, set, slot, start)`.
+    type CallLog = Rc<RefCell<Vec<(&'static str, usize, u8, u64)>>>;
+
+    /// LRU that logs every hook the cache calls, so two caches can be
+    /// compared callback for callback.
+    struct LoggingLru {
+        inner: LruPolicy,
+        log: CallLog,
+    }
+
+    impl LoggingLru {
+        fn note(&self, hook: &'static str, set: usize, meta: &PwMeta) {
+            self.log
+                .borrow_mut()
+                .push((hook, set, meta.slot, meta.desc.start.get()));
+        }
+    }
+
+    impl PwReplacementPolicy for LoggingLru {
+        fn name(&self) -> &'static str {
+            "LoggingLRU"
+        }
+
+        fn on_hit(&mut self, set: usize, meta: &PwMeta) {
+            self.note("hit", set, meta);
+        }
+
+        fn on_insert(&mut self, set: usize, meta: &PwMeta) {
+            self.note("insert", set, meta);
+        }
+
+        fn on_evict(&mut self, set: usize, meta: &PwMeta) {
+            self.note("evict", set, meta);
+        }
+
+        fn on_invalidate(&mut self, set: usize, meta: &PwMeta) {
+            self.note("invalidate", set, meta);
+        }
+
+        fn choose_victim(&mut self, set: usize, incoming: &PwDesc, resident: &[PwMeta]) -> usize {
+            self.inner.choose_victim(set, incoming, resident)
+        }
+    }
+
+    /// The brute-force oracle: scan every set, in set order, for residents
+    /// touching `line` — what `invalidate_line` must stay equivalent to.
+    fn invalidate_all_sets(c: &mut UopCache, line: LineAddr) -> u32 {
+        let mut invalidated = 0;
+        for set_idx in 0..c.sets.len() {
+            let victims: Vec<u8> = c.sets[set_idx]
+                .residents()
+                .filter(|m| m.desc.lines(c.line_bytes).any(|l| l == line))
+                .map(|m| m.slot)
+                .collect();
+            for slot in victims {
+                let removed = c.sets[set_idx].remove_slot(slot);
+                c.policy.on_invalidate(set_idx, &removed);
+                c.stats.inclusion_invalidations += 1;
+                invalidated += 1;
+                #[cfg(feature = "obs")]
+                c.emit(
+                    EventKind::Invalidate,
+                    set_idx,
+                    Some(removed.slot),
+                    removed.desc.start,
+                    removed.desc.uops,
+                    u32::from(removed.entries),
+                    Verdict::None,
+                );
+            }
+        }
+        invalidated
+    }
+
+    /// A cache with a logging LRU (and, under `obs`, a ring recorder).
+    fn logged_cache(cfg: UopCacheConfig) -> (UopCache, CallLog) {
+        let log = CallLog::default();
+        let policy = LoggingLru {
+            inner: LruPolicy::new(),
+            log: Rc::clone(&log),
+        };
+        #[allow(unused_mut)]
+        let mut c = UopCache::new(cfg, Box::new(policy));
+        #[cfg(feature = "obs")]
+        c.set_recorder(Box::new(uopcache_obs::RingRecorder::new(usize::MAX)));
+        (c, log)
+    }
+
+    fn residents(c: &UopCache) -> Vec<Vec<PwMeta>> {
+        c.sets.iter().map(PwSet::resident_metas).collect()
+    }
+
+    /// Drives the candidate-set `invalidate_line` and the all-sets oracle
+    /// with one seeded stream of lookups, insertions and invalidations over
+    /// lines `0..4*sets` (so low lines, where the candidate range clips at
+    /// zero, and lines whose index is a multiple of `sets`, where it wraps,
+    /// both recur). PWs start at any byte of a line and span `1..=max_bytes`
+    /// bytes, so the widest of them reach the span bound exactly. Asserts
+    /// equal return values and stats after every step, equal residents
+    /// after every invalidation, and equal policy-callback and event
+    /// sequences overall. Returns the PWs invalidated and the most line
+    /// boundaries any PW crossed.
+    fn differential(cfg: UopCacheConfig, seed: u64, max_bytes: u32) -> (u64, usize) {
+        let (mut fast, fast_log) = logged_cache(cfg);
+        let (mut oracle, oracle_log) = logged_cache(cfg);
+        let mut rng = Prng::seed_from_u64(seed);
+        let lines = 4 * u64::from(cfg.sets());
+        // Up to two entries past the cap, so `TooLarge` bypasses occur too.
+        let max_uops = cfg.uops_per_entry * (cfg.max_entries_per_pw + 2);
+        let (mut invalidated, mut crossings) = (0, 0);
+        for step in 0..2_000 {
+            if rng.gen_bool(0.7) {
+                let start = rng.gen_range(0..lines) * 64 + rng.gen_range(0..64u64);
+                let pw = PwDesc::new(
+                    Addr::new(start),
+                    rng.gen_range(1..=max_uops),
+                    rng.gen_range(1..=max_bytes),
+                    PwTermination::TakenBranch,
+                );
+                crossings = crossings.max(pw.lines(64).count() - 1);
+                assert_eq!(fast.lookup(&pw), oracle.lookup(&pw), "step {step}");
+                assert_eq!(fast.insert(&pw), oracle.insert(&pw), "step {step}");
+            } else {
+                let line = Addr::new(rng.gen_range(0..lines) * 64).line(64);
+                let n = fast.invalidate_line(line);
+                assert_eq!(n, invalidate_all_sets(&mut oracle, line), "step {step}");
+                // Lookups and insertions are deterministic given equal
+                // contents, so residents can only diverge here.
+                assert_eq!(residents(&fast), residents(&oracle), "step {step}");
+                invalidated += u64::from(n);
+            }
+            assert_eq!(fast.stats(), oracle.stats(), "step {step}");
+        }
+        assert_eq!(*fast_log.borrow(), *oracle_log.borrow());
+        #[cfg(feature = "obs")]
+        {
+            let events = |c: &UopCache| c.recorder().expect("installed").events();
+            assert_eq!(events(&fast), events(&oracle));
+        }
+        (invalidated, crossings)
+    }
+
+    #[test]
+    fn candidate_sets_match_all_sets_oracle() {
+        let two_sets = UopCacheConfig {
+            entries: 8,
+            ways: 4,
+            uops_per_entry: 8,
+            switch_penalty: 1,
+            inclusive_with_l1i: true,
+            max_entries_per_pw: 4,
+        };
+        // zen3: 64 sets, mask indexing; zen4: 72 sets, modulo indexing;
+        // two sets: any multi-line PW makes `k + 1 >= sets`.
+        for cfg in [UopCacheConfig::zen3(), UopCacheConfig::zen4(), two_sets] {
+            // Span bounds k = 0, 1, 1, 2 and 3 extra lines.
+            for max_bytes in [1, 8, 64, 100, 190] {
+                for seed in 0..3 {
+                    let (n, crossings) = differential(cfg, seed, max_bytes);
+                    assert!(n > 0, "{cfg:?} seed {seed}: no invalidation exercised");
+                    assert_eq!(
+                        crossings,
+                        (max_bytes as usize + 62) / 64,
+                        "{cfg:?} seed {seed}: widest span not exercised"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_scan_wraps_to_set_zero_in_set_order() {
+        // zen3: line 63 maps to set 63, line 64 to set 0. A PW starting in
+        // line 63 that spills into line 64 and one starting in line 64 both
+        // touch line 64; the candidates are sets {63, 0}, visited 0 first.
+        let (mut fast, fast_log) = logged_cache(UopCacheConfig::zen3());
+        let (mut oracle, oracle_log) = logged_cache(UopCacheConfig::zen3());
+        let spill = PwDesc::new(Addr::new(63 * 64 + 60), 4, 8, PwTermination::TakenBranch);
+        let own = PwDesc::new(Addr::new(64 * 64), 4, 8, PwTermination::TakenBranch);
+        for c in [&mut fast, &mut oracle] {
+            c.insert(&spill);
+            c.insert(&own);
+        }
+        let line = Addr::new(64 * 64).line(64);
+        assert_eq!(fast.invalidate_line(line), 2);
+        assert_eq!(invalidate_all_sets(&mut oracle, line), 2);
+        let invalidations = |log: &CallLog| -> Vec<(usize, u64)> {
+            log.borrow()
+                .iter()
+                .filter(|e| e.0 == "invalidate")
+                .map(|e| (e.1, e.3))
+                .collect()
+        };
+        assert_eq!(
+            invalidations(&fast_log),
+            vec![(0, own.start.get()), (63, spill.start.get())]
+        );
+        assert_eq!(invalidations(&fast_log), invalidations(&oracle_log));
     }
 
     #[test]

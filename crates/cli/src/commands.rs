@@ -169,6 +169,9 @@ fn parse_config(args: &Args) -> Result<FrontendConfig, ArgError> {
         .uop_cache
         .with_entries(args.get_parse("entries", cfg.uop_cache.entries)?)
         .with_ways(args.get_parse("ways", cfg.uop_cache.ways)?);
+    cfg.uop_cache
+        .validate()
+        .map_err(|e| ArgError(e.to_string()))?;
     Ok(cfg)
 }
 
@@ -1268,6 +1271,21 @@ mod tests {
         assert!(run("sweep --apps nope --len 1000").is_err());
         assert!(run("sweep --apps kafka --policies belady --len 1000").is_err());
         assert!(run("sweep --apps kafka --jobs zero --len 1000").is_err());
+    }
+
+    #[test]
+    fn sweep_rejects_unbuildable_geometry_without_panicking() {
+        for geometry in [
+            "--entries 7 --ways 3",
+            "--ways 0",
+            "--ways 65 --entries 130",
+        ] {
+            let err = run(&format!(
+                "sweep --apps kafka --policies lru --len 1000 {geometry}"
+            ))
+            .expect_err(geometry);
+            assert!(err.to_string().contains("geometry"), "{geometry}: {err}");
+        }
     }
 
     #[test]

@@ -75,6 +75,38 @@ impl UopCacheConfig {
         self
     }
 
+    /// Checks that the geometry can be built: `ways` in `1..=64` (a set
+    /// tracks its slots in one 64-bit mask), `entries` a non-zero multiple
+    /// of `ways`, and `max_entries_per_pw` no larger than `ways`. Callers
+    /// that take a geometry from untrusted input run this before building a
+    /// cache, whose constructors panic on these cases.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] naming the first violated constraint.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let Self {
+            entries,
+            ways,
+            max_entries_per_pw,
+            ..
+        } = *self;
+        if !(1..=64).contains(&ways) {
+            return Err(ConfigError(format!("ways must be in 1..=64, got {ways}")));
+        }
+        if entries == 0 || !entries.is_multiple_of(ways) {
+            return Err(ConfigError(format!(
+                "entries must be a non-zero multiple of ways ({ways}), got {entries}"
+            )));
+        }
+        if max_entries_per_pw > ways {
+            return Err(ConfigError(format!(
+                "max entries per PW ({max_entries_per_pw}) exceeds ways ({ways})"
+            )));
+        }
+        Ok(())
+    }
+
     /// Number of sets.
     ///
     /// # Panics
@@ -110,6 +142,19 @@ impl UopCacheConfig {
         }
     }
 }
+
+/// An inconsistent [`UopCacheConfig`] geometry, with a human-readable
+/// message (see [`UopCacheConfig::validate`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError(pub String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid micro-op cache geometry: {}", self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for UopCacheConfig {
     fn default() -> Self {
@@ -446,6 +491,22 @@ mod tests {
     #[should_panic(expected = "divide into ways")]
     fn bad_geometry_panics() {
         let _ = UopCacheConfig::zen3().with_entries(100).sets();
+    }
+
+    #[test]
+    fn validate_accepts_presets_and_rejects_unbuildable_geometry() {
+        assert_eq!(UopCacheConfig::zen3().validate(), Ok(()));
+        assert_eq!(UopCacheConfig::zen4().validate(), Ok(()));
+        assert_eq!(UopCacheConfig::zen3().with_ways(64).validate(), Ok(()));
+        for bad in [
+            UopCacheConfig::zen3().with_entries(7).with_ways(3),
+            UopCacheConfig::zen3().with_ways(0),
+            UopCacheConfig::zen3().with_entries(130).with_ways(65),
+            UopCacheConfig::zen3().with_entries(0),
+            UopCacheConfig::zen3().with_entries(6).with_ways(2),
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod stats;
 pub use access::{LookupTrace, PwAccess};
 pub use addr::{Addr, LineAddr};
 pub use config::{
-    BackendConfig, BpuConfig, DecoderConfig, FrontendConfig, IcacheConfig, PerfectStructures,
-    UopCacheConfig,
+    BackendConfig, BpuConfig, ConfigError, DecoderConfig, FrontendConfig, IcacheConfig,
+    PerfectStructures, UopCacheConfig,
 };
 pub use pw::{PwDesc, PwTermination};
 pub use stats::{CacheStats, EventCounts, SimResult, UopCacheStats};

@@ -10,7 +10,10 @@
 //!
 //! This test wires the bench harness's [`CountingAllocator`] in as the
 //! test binary's global allocator and pins the budget at exactly zero for
-//! a steady-state pass over **every policy in [`PolicyId::ALL`]**.
+//! a steady-state pass over **every policy in [`PolicyId::ALL`]**, and
+//! again for a warmed pass of L1i-inclusion invalidations
+//! ([`UopCache::invalidate_line`], whose candidate-set scan works out of
+//! stack buffers).
 //! Everything is measured inside one `#[test]` so no concurrently running
 //! test can pollute the global counters.
 //!
@@ -18,7 +21,7 @@
 //! [`CountingAllocator`]: uopcache_bench::hotpath::CountingAllocator
 
 use uopcache::cache::UopCache;
-use uopcache::model::FrontendConfig;
+use uopcache::model::{Addr, FrontendConfig};
 use uopcache::policies::run_trace;
 use uopcache::trace::{build_trace, AppId, InputVariant};
 use uopcache_bench::hotpath::CountingAllocator;
@@ -43,6 +46,27 @@ fn steady_state_allocs(cache: &mut UopCache, trace: &uopcache::model::LookupTrac
     let bytes = CountingAllocator::bytes_allocated() - before_bytes;
     assert_eq!(stats.lookups, LEN as u64, "the pass must cover the trace");
     (calls, bytes)
+}
+
+/// One pass of inclusion traffic: before each access, the L1i evicts the
+/// line holding the window's last byte (invalidating every PW touching
+/// it), then the access refills the cache as [`run_trace`] does. Returns
+/// the pass's heap allocations and the PWs it invalidated.
+fn inclusion_pass(cache: &mut UopCache, trace: &uopcache::model::LookupTrace) -> (u64, u64, u64) {
+    let before_calls = CountingAllocator::allocations();
+    let before_bytes = CountingAllocator::bytes_allocated();
+    let before_invalidations = cache.stats().inclusion_invalidations;
+    for access in trace.iter() {
+        let last_byte = Addr::new(access.pw.end().get() - 1);
+        cache.invalidate_line(last_byte.line(64));
+        if !cache.lookup(&access.pw).is_full_hit() {
+            cache.insert(&access.pw);
+        }
+    }
+    let calls = CountingAllocator::allocations() - before_calls;
+    let bytes = CountingAllocator::bytes_allocated() - before_bytes;
+    let invalidations = cache.stats().inclusion_invalidations - before_invalidations;
+    (calls, bytes, invalidations)
 }
 
 #[test]
@@ -71,6 +95,23 @@ fn steady_state_lookup_path_does_not_allocate_for_any_registered_policy() {
                 (calls, bytes),
                 (0, 0),
                 "{}/{}: steady-state pass allocated {calls} times ({bytes} bytes)",
+                id.name(),
+                app.name(),
+            );
+
+            // Warm the inclusion path the same way, then measure it.
+            inclusion_pass(&mut cache, &trace);
+            let (calls, bytes, invalidations) = inclusion_pass(&mut cache, &trace);
+            assert!(
+                invalidations > 0,
+                "{}/{}: the inclusion pass invalidated nothing",
+                id.name(),
+                app.name(),
+            );
+            assert_eq!(
+                (calls, bytes),
+                (0, 0),
+                "{}/{}: warmed inclusion pass allocated {calls} times ({bytes} bytes)",
                 id.name(),
                 app.name(),
             );
