@@ -1,7 +1,51 @@
 //! Residual flow network and the successive-shortest-path solver.
+//!
+//! # Layout
+//!
+//! The network is one flat array of residual arcs, two per edge, each
+//! carrying the index of its twin. [`FlowGraph::add_edge`] appends an
+//! edge's pair; the first [`FlowGraph::min_cost_flow`] after that sorts the
+//! arcs in place into CSR order: one contiguous run per tail node, each
+//! node's arcs in the order they were added. All solver buffers (arcs, CSR
+//! offsets, distances, potentials, parents, queue) belong to the graph and
+//! keep their allocations across [`FlowGraph::reset`], so rebuilding and
+//! re-solving a network of the same size does not touch the allocator.
+//!
+//! # Queue
+//!
+//! Each augmentation runs Dijkstra on reduced costs, which are non-negative,
+//! so the distances it settles never decrease. The queue exploits that in
+//! two tiers:
+//!
+//! * a monotone radix heap holding `(distance, node)` entries above the
+//!   current level, bucketed by the highest bit in which the distance
+//!   differs from the level;
+//! * a min-heap by node index holding the nodes at the current level. A
+//!   relaxation that lands exactly on the level goes straight into it.
+//!
+//! When the level tier runs dry, the lowest non-empty radix bucket yields
+//! the next level; its live entries at that distance move to the level tier
+//! and the rest are rebucketed lower.
+//!
+//! # Tie-break invariant
+//!
+//! FOO's networks tie heavily: many nodes share each distance, and many
+//! shortest paths share each cost. Which path an augmentation takes, and
+//! therefore `flow_on` of every edge and FOO's keep vectors, depends on the
+//! order in which equal-distance nodes are settled, since a node's parent is
+//! the first arc that reached its final distance. The solver must settle
+//! nodes in exactly the order of a lazy-deletion binary heap of
+//! `(distance, node)` pairs: ascending distance, and within a distance the
+//! lowest-index node *currently queued*. That order is not sorted by
+//! `(distance, node)` overall: settling a node can queue a lower-index node
+//! at the same distance, which then goes next. The level tier replays that
+//! discovery process; it cannot be recovered afterwards from the distance
+//! array (doing so can even build parent cycles along zero-cost arcs).
+//! A `#[cfg(test)]` copy of the binary-heap solver pins this equivalence
+//! with a seeded differential test.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Handle to an edge added with [`FlowGraph::add_edge`], used to read back the
 /// flow routed through it after solving.
@@ -18,12 +62,18 @@ pub struct McmfResult {
     pub cost: i64,
 }
 
+/// One residual arc. The flow on an edge is the residual capacity of its
+/// backward twin.
 #[derive(Clone, Debug)]
-struct Edge {
+struct Arc {
     to: u32,
+    /// Index of the opposite arc of the same edge.
+    twin: u32,
     cap: i64,
     cost: i64,
 }
+
+const NO_ARC: u32 = u32::MAX;
 
 /// A directed flow network with costs.
 ///
@@ -44,238 +94,312 @@ struct Edge {
 /// ```
 #[derive(Clone, Debug)]
 pub struct FlowGraph {
-    edges: Vec<Edge>,
-    /// Adjacency list: per-node indices into `edges`.
-    adj: Vec<Vec<u32>>,
-    /// Whether every added edge goes from a lower to a higher node index
-    /// (lets the solver seed potentials with one topological pass).
+    nodes: usize,
+    arcs: Vec<Arc>,
+    /// Index in `arcs` of each added edge's forward arc, by [`EdgeId`].
+    forward: Vec<u32>,
+    /// Whether `arcs` is in CSR order with `first` indexing it; adding an
+    /// edge appends two arcs out of order.
+    built: bool,
+    /// Whether every residual arc with capacity goes from a lower to a
+    /// higher node index (lets the solver seed potentials with one
+    /// topological pass). Routing flow opens backward twins, so it clears.
     is_forward_dag: bool,
+    /// CSR offsets: node `u`'s arcs are `arcs[first[u]..first[u + 1]]`.
+    first: Vec<u32>,
+    /// CSR position of each arc while [`FlowGraph::build`] sorts them.
+    pos: Vec<u32>,
+    potential: Vec<i64>,
+    dist: Vec<i64>,
+    /// Arc through which each node was reached (also the CSR fill cursor
+    /// while building).
+    parent: Vec<u32>,
+    queue: LevelQueue,
 }
 
 impl FlowGraph {
     /// Creates a network with `nodes` nodes and no edges.
     pub fn new(nodes: usize) -> Self {
         FlowGraph {
-            edges: Vec::new(),
-            adj: vec![Vec::new(); nodes],
+            nodes,
+            arcs: Vec::new(),
+            forward: Vec::new(),
+            built: false,
             is_forward_dag: true,
+            first: Vec::new(),
+            pos: Vec::new(),
+            potential: Vec::new(),
+            dist: Vec::new(),
+            parent: Vec::new(),
+            queue: LevelQueue::default(),
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.nodes
     }
 
     /// Clears all edges and resizes the network to `nodes` nodes, retaining
-    /// the edge and adjacency allocations, so a solver loop building one
+    /// every edge and solver allocation, so a solver loop building one
     /// network per problem instance (e.g. FOO's per-set solves) can reuse a
     /// single graph instead of reallocating each time.
     pub fn reset(&mut self, nodes: usize) {
-        self.edges.clear();
-        for row in &mut self.adj {
-            row.clear();
-        }
-        self.adj.resize_with(nodes, Vec::new);
+        self.nodes = nodes;
+        self.arcs.clear();
+        self.forward.clear();
+        self.built = false;
         self.is_forward_dag = true;
     }
 
     /// Number of (forward) edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len() / 2
+        self.forward.len()
     }
 
     /// Adds a directed edge with the given capacity and per-unit cost and
     /// returns its handle.
     ///
+    /// Edges may be added after a solve: the flow already routed stays in
+    /// the network.
+    ///
     /// # Panics
     ///
-    /// Panics if either endpoint is out of range, if `from == to`, or if
-    /// `cap` is negative.
+    /// Panics if either endpoint is out of range, if `from == to`, if `cap`
+    /// is negative, or if the network outgrows `u32` node or arc indices.
     pub fn add_edge(&mut self, from: usize, to: usize, cap: i64, cost: i64) -> EdgeId {
         assert!(
-            from < self.adj.len() && to < self.adj.len(),
+            from < self.nodes && to < self.nodes,
             "edge endpoint out of range"
         );
         assert!(from != to, "self-loops are not supported");
         assert!(cap >= 0, "capacity must be non-negative");
+        let a = u32::try_from(self.arcs.len())
+            .ok()
+            .filter(|&a| a < NO_ARC - 1)
+            .expect("too many edges for u32 arc indices");
         if from >= to {
             self.is_forward_dag = false;
         }
-        let id = self.edges.len();
-        self.edges.push(Edge {
-            to: to as u32,
+        self.arcs.push(Arc {
+            to: u32::try_from(to).expect("node index fits u32"),
+            twin: a + 1,
             cap,
             cost,
         });
-        self.edges.push(Edge {
-            to: from as u32,
+        self.arcs.push(Arc {
+            to: u32::try_from(from).expect("node index fits u32"),
+            twin: a,
             cap: 0,
             cost: -cost,
         });
-        self.adj[from].push(id as u32);
-        self.adj[to].push(id as u32 + 1);
-        EdgeId(id)
+        self.forward.push(a);
+        self.built = false;
+        EdgeId(self.forward.len() - 1)
     }
 
     /// Flow currently routed through the edge (the residual capacity of its
     /// reverse twin). Valid after [`FlowGraph::min_cost_flow`].
     pub fn flow_on(&self, id: EdgeId) -> i64 {
-        self.edges[id.0 ^ 1].cap
+        let fwd = &self.arcs[self.forward[id.0] as usize];
+        self.arcs[fwd.twin as usize].cap
     }
 
     /// Remaining capacity of the edge.
     pub fn residual_on(&self, id: EdgeId) -> i64 {
-        self.edges[id.0].cap
+        self.arcs[self.forward[id.0] as usize].cap
     }
 
     /// Routes up to `max_flow` units from `source` to `sink` at minimum total
     /// cost, mutating the network's residual capacities.
     ///
-    /// Negative edge costs are supported. When the network (as constructed)
-    /// is a forward DAG, initial potentials come from a linear relaxation
-    /// pass; otherwise Bellman–Ford is used.
+    /// Negative edge costs are supported. When the residual network is a
+    /// forward DAG (as constructed, before any flow), initial potentials
+    /// come from a linear relaxation pass; otherwise Bellman–Ford is used.
     ///
     /// # Panics
     ///
     /// Panics if `source == sink` or either is out of range.
     pub fn min_cost_flow(&mut self, source: usize, sink: usize, max_flow: i64) -> McmfResult {
         assert!(
-            source < self.adj.len() && sink < self.adj.len(),
+            source < self.nodes && sink < self.nodes,
             "endpoint out of range"
         );
         assert_ne!(source, sink, "source and sink must differ");
-        let n = self.adj.len();
-        let mut potential = if self.edges.iter().all(|e| e.cost >= 0) {
-            vec![0i64; n]
+        if !self.built {
+            self.build();
+        }
+        let n = self.nodes;
+        self.potential.clear();
+        self.potential.resize(n, i64::MAX);
+        if self.arcs.iter().all(|a| a.cost >= 0) {
+            self.potential.fill(0);
         } else if self.is_forward_dag {
-            self.dag_potentials(source)
+            self.dag_potentials(source);
         } else {
-            self.bellman_ford_potentials(source)
-        };
+            self.bellman_ford_potentials(source);
+        }
 
         let mut total = McmfResult::default();
-        let mut dist = vec![i64::MAX; n];
-        let mut par_edge = vec![u32::MAX; n];
-
         while total.flow < max_flow {
-            // Dijkstra on reduced costs.
-            dist.fill(i64::MAX);
-            par_edge.fill(u32::MAX);
-            dist[source] = 0;
-            let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
-            heap.push(Reverse((0, source as u32)));
-            while let Some(Reverse((d, u))) = heap.pop() {
-                let u = u as usize;
-                if d > dist[u] {
-                    continue;
-                }
-                for &eid in &self.adj[u] {
-                    let e = &self.edges[eid as usize];
-                    if e.cap <= 0 {
-                        continue;
-                    }
-                    let v = e.to as usize;
-                    if potential[u] == i64::MAX || potential[v] == i64::MAX {
-                        continue;
-                    }
-                    let nd = d + e.cost + potential[u] - potential[v];
-                    debug_assert!(
-                        e.cost + potential[u] - potential[v] >= 0,
-                        "reduced cost must be non-negative"
-                    );
-                    if nd < dist[v] {
-                        dist[v] = nd;
-                        par_edge[v] = eid;
-                        heap.push(Reverse((nd, v as u32)));
-                    }
-                }
-            }
-            if dist[sink] == i64::MAX {
+            self.shortest_paths(source);
+            if self.dist[sink] == i64::MAX {
                 break; // saturated
             }
-            for v in 0..n {
-                if dist[v] != i64::MAX {
-                    potential[v] = potential[v].saturating_add(dist[v]);
+            for (p, &d) in self.potential.iter_mut().zip(&self.dist) {
+                if d != i64::MAX {
+                    *p = p.saturating_add(d);
                 }
             }
             // Find bottleneck along the shortest path.
             let mut push = max_flow - total.flow;
             let mut v = sink;
+            let mut hops = 0;
             while v != source {
-                let eid = par_edge[v] as usize;
-                push = push.min(self.edges[eid].cap);
-                v = self.edges[eid ^ 1].to as usize;
+                hops += 1;
+                debug_assert!(hops <= n, "parent arcs must form a tree");
+                let arc = &self.arcs[self.parent[v] as usize];
+                push = push.min(arc.cap);
+                v = self.arcs[arc.twin as usize].to as usize;
             }
             // Apply.
             let mut v = sink;
             let mut path_cost = 0;
             while v != source {
-                let eid = par_edge[v] as usize;
-                self.edges[eid].cap -= push;
-                self.edges[eid ^ 1].cap += push;
-                path_cost += self.edges[eid].cost;
-                v = self.edges[eid ^ 1].to as usize;
+                let a = self.parent[v] as usize;
+                let twin = self.arcs[a].twin as usize;
+                self.arcs[a].cap -= push;
+                self.arcs[twin].cap += push;
+                path_cost += self.arcs[a].cost;
+                v = self.arcs[twin].to as usize;
             }
             total.flow += push;
             total.cost += push * path_cost;
+            self.is_forward_dag = false;
         }
         total
     }
 
-    /// Shortest distances from `source` via one pass in node order — exact for
-    /// forward DAGs (every edge goes from a lower to a higher index).
-    fn dag_potentials(&self, source: usize) -> Vec<i64> {
-        let n = self.adj.len();
-        let mut dist = vec![i64::MAX; n];
-        dist[source] = 0;
+    /// Sorts `arcs` in place into CSR order by tail node, keeping each
+    /// node's arcs in the order they were added, and remaps twins and
+    /// `forward` to the new positions.
+    fn build(&mut self) {
+        let n = self.nodes;
+        let tail = |arcs: &[Arc], arc: &Arc| arcs[arc.twin as usize].to as usize;
+        self.first.clear();
+        self.first.resize(n + 1, 0);
+        for arc in &self.arcs {
+            self.first[tail(&self.arcs, arc) + 1] += 1;
+        }
         for u in 0..n {
-            if dist[u] == i64::MAX {
-                continue;
+            self.first[u + 1] += self.first[u];
+        }
+        // Arcs already in CSR order keep their per-node order and precede
+        // any appended since, so one stable pass assigns every position.
+        let cursor = &mut self.parent;
+        cursor.clear();
+        cursor.extend_from_slice(&self.first[..n]);
+        self.pos.clear();
+        for arc in &self.arcs {
+            let u = tail(&self.arcs, arc);
+            self.pos.push(cursor[u]);
+            cursor[u] += 1;
+        }
+        for arc in &mut self.arcs {
+            arc.twin = self.pos[arc.twin as usize];
+        }
+        for a in &mut self.forward {
+            *a = self.pos[*a as usize];
+        }
+        for k in 0..self.arcs.len() {
+            while self.pos[k] as usize != k {
+                let target = self.pos[k] as usize;
+                self.arcs.swap(k, target);
+                self.pos.swap(k, target);
             }
-            for &eid in &self.adj[u] {
-                let e = &self.edges[eid as usize];
-                if e.cap <= 0 {
+        }
+        self.built = true;
+    }
+
+    /// Dijkstra on reduced costs from `source`, settling nodes in binary-heap
+    /// order (see the module docs); fills `dist` and `parent`.
+    fn shortest_paths(&mut self, source: usize) {
+        self.dist.clear();
+        self.dist.resize(self.nodes, i64::MAX);
+        self.parent.clear();
+        self.parent.resize(self.nodes, NO_ARC);
+        self.dist[source] = 0;
+        self.queue.start(source);
+        while let Some(u) = self.queue.pop(&self.dist) {
+            // Only nodes with a finite potential are ever reached.
+            let (d, pu) = (self.dist[u], self.potential[u]);
+            let (lo, hi) = (self.first[u] as usize, self.first[u + 1] as usize);
+            for (a, arc) in (lo..hi).zip(&self.arcs[lo..hi]) {
+                if arc.cap <= 0 {
                     continue;
                 }
-                let v = e.to as usize;
-                // Residual twins point backwards; skip them (they have no
-                // capacity before any flow is routed anyway).
-                if v <= u {
+                let v = arc.to as usize;
+                let pv = self.potential[v];
+                if pv == i64::MAX {
                     continue;
                 }
-                let nd = dist[u] + e.cost;
-                if nd < dist[v] {
-                    dist[v] = nd;
+                let nd = d + arc.cost + pu - pv;
+                debug_assert!(arc.cost + pu - pv >= 0, "reduced cost must be non-negative");
+                if nd < self.dist[v] {
+                    self.dist[v] = nd;
+                    self.parent[v] = u32::try_from(a).expect("arc count is bounded by add_edge");
+                    self.queue.push(nd, arc.to);
                 }
             }
         }
-        // Unreachable nodes keep MAX; Dijkstra skips them via the potential
-        // check.
-        dist
+    }
+
+    /// Shortest distances from `source` via one pass in node order — exact for
+    /// forward DAGs (every arc with capacity goes from a lower to a higher
+    /// index). Unreachable nodes keep `i64::MAX`; Dijkstra skips them.
+    fn dag_potentials(&mut self, source: usize) {
+        let dist = &mut self.potential;
+        dist[source] = 0;
+        for u in 0..self.nodes {
+            let du = dist[u];
+            if du == i64::MAX {
+                continue;
+            }
+            let arcs = &self.arcs[self.first[u] as usize..self.first[u + 1] as usize];
+            for arc in arcs {
+                let v = arc.to as usize;
+                // Residual twins point backwards; skip them (they have no
+                // capacity before any flow is routed anyway).
+                if arc.cap <= 0 || v <= u {
+                    continue;
+                }
+                dist[v] = dist[v].min(du + arc.cost);
+            }
+        }
     }
 
     /// Bellman–Ford (queue-based) potentials for general graphs with negative
     /// costs.
-    fn bellman_ford_potentials(&self, source: usize) -> Vec<i64> {
-        let n = self.adj.len();
-        let mut dist = vec![i64::MAX; n];
+    fn bellman_ford_potentials(&mut self, source: usize) {
+        let n = self.nodes;
+        let dist = &mut self.potential;
         let mut in_queue = vec![false; n];
         dist[source] = 0;
-        let mut queue = std::collections::VecDeque::new();
+        let mut queue = VecDeque::new();
         queue.push_back(source);
         in_queue[source] = true;
         let mut relaxations = 0usize;
-        let budget = n.saturating_mul(self.edges.len()).max(1);
+        let budget = n.saturating_mul(self.arcs.len()).max(1);
         while let Some(u) = queue.pop_front() {
             in_queue[u] = false;
-            for &eid in &self.adj[u] {
-                let e = &self.edges[eid as usize];
-                if e.cap <= 0 || dist[u] == i64::MAX {
+            let du = dist[u];
+            let arcs = &self.arcs[self.first[u] as usize..self.first[u + 1] as usize];
+            for arc in arcs {
+                if arc.cap <= 0 {
                     continue;
                 }
-                let v = e.to as usize;
-                let nd = dist[u] + e.cost;
+                let v = arc.to as usize;
+                let nd = du + arc.cost;
                 if nd < dist[v] {
                     dist[v] = nd;
                     relaxations += 1;
@@ -287,7 +411,82 @@ impl FlowGraph {
                 }
             }
         }
-        dist
+    }
+}
+
+/// Number of radix buckets: distances are non-negative `i64`s, so two of
+/// them differ in at most the low 63 bits.
+const BUCKETS: usize = 64;
+
+/// Dijkstra's two-tier queue (see the module docs). Entries are
+/// `(distance, node)`; an entry is stale once its node's distance has
+/// dropped below it, and stale entries are dropped when met.
+#[derive(Clone, Debug)]
+struct LevelQueue {
+    /// Distance of the nodes being settled; never decreases within a run.
+    level: i64,
+    /// Nodes at distance `level`, popped lowest index first.
+    at_level: BinaryHeap<Reverse<u32>>,
+    /// Entries above `level`; bucket `i` holds distances whose highest bit
+    /// differing from `level` is bit `i - 1`.
+    buckets: [Vec<(i64, u32)>; BUCKETS],
+}
+
+impl Default for LevelQueue {
+    fn default() -> Self {
+        LevelQueue {
+            level: 0,
+            at_level: BinaryHeap::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+}
+
+impl LevelQueue {
+    fn bucket(&self, d: i64) -> usize {
+        (i64::BITS - (d ^ self.level).leading_zeros()) as usize
+    }
+
+    /// Empties the queue and seeds it with `source` at distance 0.
+    fn start(&mut self, source: usize) {
+        debug_assert!(self.buckets.iter().all(Vec::is_empty));
+        self.level = 0;
+        self.at_level.clear();
+        self.at_level
+            .push(Reverse(u32::try_from(source).expect("node index fits u32")));
+    }
+
+    /// Queues `node` at distance `d`, which must not be below the level.
+    fn push(&mut self, d: i64, node: u32) {
+        debug_assert!(d >= self.level, "distances settle monotonically");
+        if d == self.level {
+            self.at_level.push(Reverse(node));
+        } else {
+            let b = self.bucket(d);
+            self.buckets[b].push((d, node));
+        }
+    }
+
+    /// The next node to settle, given the current distances, or `None` once
+    /// every entry has been settled or found stale.
+    fn pop(&mut self, dist: &[i64]) -> Option<usize> {
+        loop {
+            if let Some(Reverse(u)) = self.at_level.pop() {
+                debug_assert_eq!(dist[u as usize], self.level, "level entries never go stale");
+                return Some(u as usize);
+            }
+            let i = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut entries = std::mem::take(&mut self.buckets[i]);
+            let live = |&(d, v): &(i64, u32)| dist[v as usize] == d;
+            if let Some(next) = entries.iter().filter(|e| live(e)).map(|e| e.0).min() {
+                self.level = next;
+                for &(d, v) in entries.iter().filter(|e| live(e)) {
+                    self.push(d, v);
+                }
+            }
+            entries.clear();
+            self.buckets[i] = entries;
+        }
     }
 }
 
@@ -318,10 +517,43 @@ mod tests {
     fn single_edge() {
         let mut g = FlowGraph::new(2);
         let e = g.add_edge(0, 1, 4, 7);
+        assert_eq!((g.flow_on(e), g.residual_on(e)), (0, 4));
         let r = g.min_cost_flow(0, 1, 10);
         assert_eq!(r, McmfResult { flow: 4, cost: 28 });
         assert_eq!(g.flow_on(e), 4);
         assert_eq!(g.residual_on(e), 0);
+    }
+
+    #[test]
+    fn solving_again_continues_from_the_residual_network() {
+        // The second unit must cancel the first unit's 1->2 arc through its
+        // residual twin, so the second call needs potentials over backward
+        // arcs.
+        let build = || {
+            let mut g = FlowGraph::new(4);
+            g.add_edge(0, 1, 1, 1);
+            g.add_edge(0, 2, 1, 2);
+            let cancelled = g.add_edge(1, 2, 1, -2);
+            g.add_edge(1, 3, 1, 4);
+            g.add_edge(2, 3, 1, 1);
+            (g, cancelled)
+        };
+        let (mut g, cancelled) = build();
+        let first = g.min_cost_flow(0, 3, 1);
+        assert_eq!(first, McmfResult { flow: 1, cost: 0 });
+        assert_eq!(g.flow_on(cancelled), 1);
+        let second = g.min_cost_flow(0, 3, 1);
+        assert_eq!(second, McmfResult { flow: 1, cost: 8 });
+        assert_eq!(g.flow_on(cancelled), 0);
+
+        // Adding an edge after a solve keeps the routed flow; the new edge
+        // is the only way left out of the source.
+        let extra = g.add_edge(0, 3, 1, 20);
+        assert_eq!((g.flow_on(cancelled), g.flow_on(extra)), (0, 0));
+        let third = g.min_cost_flow(0, 3, 1);
+        assert_eq!(third, McmfResult { flow: 1, cost: 20 });
+        assert_eq!(g.flow_on(extra), 1);
+        assert_eq!(g.min_cost_flow(0, 3, 1), McmfResult::default());
     }
 
     #[test]
@@ -399,6 +631,49 @@ mod tests {
         // 0->1->3 (5) and 0->2->3 (3) vs 0->1->2->3 (0) and 0->2->(2->3 full)
         // -> residual 2->1 (+2), 1->3 (4): total 2+2+4=8. Both give 8.
         assert_eq!(r.cost, 8);
+    }
+
+    #[test]
+    fn level_queue_settles_lower_indices_discovered_later_first() {
+        // Binary-heap order within one distance: 0 queues 3 and 2 at level
+        // 0; settling 2 queues 1, which then goes before 3.
+        let mut q = LevelQueue::default();
+        let mut dist = vec![i64::MAX; 4];
+        dist[0] = 0;
+        q.start(0);
+        let mut order = Vec::new();
+        while let Some(u) = q.pop(&dist) {
+            order.push(u);
+            let queued: &[usize] = match u {
+                0 => &[3, 2],
+                2 => &[1],
+                _ => &[],
+            };
+            for &v in queued {
+                dist[v] = 0;
+                q.push(0, u32::try_from(v).expect("tiny"));
+            }
+        }
+        assert_eq!(order, [0, 2, 1, 3]);
+    }
+
+    #[test]
+    fn level_queue_drops_stale_entries_and_climbs_levels() {
+        let mut q = LevelQueue::default();
+        let mut dist = vec![0, 9, 5, i64::MAX];
+        q.start(0);
+        assert_eq!(q.pop(&dist), Some(0));
+        q.push(9, 1);
+        q.push(7, 2);
+        // Node 2 improves to 5 before anything above the level settles.
+        q.push(5, 2);
+        assert_eq!(q.pop(&dist), Some(2));
+        dist[3] = 1 << 40;
+        q.push(1 << 40, 3);
+        assert_eq!(q.pop(&dist), Some(1));
+        assert_eq!(q.pop(&dist), Some(3));
+        assert_eq!(q.pop(&dist), None);
+        assert!(q.buckets.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! indices — which the FOO interval network always is — or Bellman–Ford
 //! otherwise), every augmentation runs Dijkstra on reduced costs.
 //!
+//! The network is stored once, as flat CSR arcs with inline twin indices,
+//! and Dijkstra runs on a two-tier queue: a monotone radix heap above the
+//! current distance level and a min-heap by node index at it. The queue
+//! settles nodes in exactly the order of the classic lazy-deletion binary
+//! heap, so ties between equal-cost paths break the same way and FOO's
+//! decisions do not depend on the queue; see [`graph`] for the layout, the
+//! queue and that tie-break invariant.
+//!
 //! Costs may be negative (FOO rewards caching an interval with a negative
 //! cost); capacities must be non-negative.
 //!
@@ -31,5 +39,7 @@
 //! ```
 
 pub mod graph;
+#[cfg(test)]
+mod reference;
 
 pub use graph::{EdgeId, FlowGraph, McmfResult};

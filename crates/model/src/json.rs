@@ -69,11 +69,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] describing the first malformed construct.
+    /// Returns a [`JsonError`] describing the first malformed construct,
+    /// including arrays and objects nested more than [`MAX_DEPTH`] deep.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -154,9 +156,16 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects that [`Json::parse`] accepts. The
+/// parser recurses once per level, so this bounds its stack use on untrusted
+/// input; the documents this workspace reads nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -206,8 +215,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             other => Err(JsonError::new(format!(
                 "unexpected {:?} at byte {}",
@@ -215,6 +224,24 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -670,6 +697,16 @@ mod tests {
         let text = r#"{"a":1,"b":[true,null,"x\ny"],"c":-2,"d":0.5}"#;
         let v = Json::parse(text).expect("valid document");
         assert_eq!(v.to_string(), text);
+    }
+
+    #[test]
+    fn nesting_is_limited_instead_of_overflowing_the_stack() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.0.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

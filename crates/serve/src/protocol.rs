@@ -386,6 +386,20 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_body_is_malformed_not_a_stack_overflow() {
+        let body = "[".repeat(200_000);
+        let len = u32::try_from(body.len()).expect("under the frame cap");
+        let mut wire = len.to_le_bytes().to_vec();
+        wire.extend_from_slice(body.as_bytes());
+        let err = read_frame(wire.as_slice(), Duration::from_secs(1)).expect_err("too deep");
+        assert!(matches!(err, FrameError::Malformed(_)), "{err}");
+        let err = FrameDecoder::new()
+            .feed(&wire, &mut Vec::new())
+            .expect_err("too deep");
+        assert!(matches!(err, FrameError::Malformed(_)), "{err}");
+    }
+
+    #[test]
     fn wrong_schema_version_is_rejected() {
         let body = Json::Obj(vec![
             ("schema_version".to_string(), Json::U64(99)),

@@ -13,7 +13,9 @@
 //! a steady-state pass over **every policy in [`PolicyId::ALL`]**, and
 //! again for a warmed pass of L1i-inclusion invalidations
 //! ([`UopCache::invalidate_line`], whose candidate-set scan works out of
-//! stack buffers).
+//! stack buffers), and for a warmed FOO min-cost-flow solve
+//! ([`FlowGraph`] keeps its CSR, distance, potential and queue buffers
+//! across [`FlowGraph::reset`]).
 //! Everything is measured inside one `#[test]` so no concurrently running
 //! test can pollute the global counters.
 //!
@@ -21,6 +23,7 @@
 //! [`CountingAllocator`]: uopcache_bench::hotpath::CountingAllocator
 
 use uopcache::cache::UopCache;
+use uopcache::flow::{FlowGraph, McmfResult};
 use uopcache::model::{Addr, FrontendConfig};
 use uopcache::policies::run_trace;
 use uopcache::trace::{build_trace, AppId, InputVariant};
@@ -67,6 +70,28 @@ fn inclusion_pass(cache: &mut UopCache, trace: &uopcache::model::LookupTrace) ->
     let bytes = CountingAllocator::bytes_allocated() - before_bytes;
     let invalidations = cache.stats().inclusion_invalidations - before_invalidations;
     (calls, bytes, invalidations)
+}
+
+/// Builds a FOO-shaped interval network on `graph` (chain of capacity 8,
+/// negative-cost forward intervals of a few sizes and spans) and routes 8
+/// units through it. Returns the solve's result and heap allocations.
+fn foo_network_solve(graph: &mut FlowGraph) -> (McmfResult, u64, u64) {
+    const NODES: usize = 1_500;
+    let before_calls = CountingAllocator::allocations();
+    let before_bytes = CountingAllocator::bytes_allocated();
+    graph.reset(NODES);
+    for k in 0..NODES - 1 {
+        graph.add_edge(k, k + 1, 8, 0);
+    }
+    for to in 1..NODES {
+        let span = [1, 3, 7, 40][to % 4].min(to);
+        let size = 1 + (to % 3) as i64;
+        graph.add_edge(to - span, to, size, -840 / size);
+    }
+    let result = graph.min_cost_flow(0, NODES - 1, 8);
+    let calls = CountingAllocator::allocations() - before_calls;
+    let bytes = CountingAllocator::bytes_allocated() - before_bytes;
+    (result, calls, bytes)
 }
 
 #[test]
@@ -117,4 +142,20 @@ fn steady_state_lookup_path_does_not_allocate_for_any_registered_policy() {
             );
         }
     }
+
+    // A warmed flow graph re-solves a same-sized network off the allocator:
+    // reset, rebuild, solve.
+    let mut graph = FlowGraph::new(0);
+    let (warm, _, _) = foo_network_solve(&mut graph);
+    let (result, calls, bytes) = foo_network_solve(&mut graph);
+    assert_eq!(
+        result, warm,
+        "re-solving the same network changed its result"
+    );
+    assert_eq!(result.flow, 8, "the network must carry the full flow");
+    assert_eq!(
+        (calls, bytes),
+        (0, 0),
+        "warmed FlowGraph reset+rebuild+solve allocated {calls} times ({bytes} bytes)"
+    );
 }
