@@ -57,7 +57,7 @@ fn bench_simulator() {
 fn bench_policies() {
     let cfg = FrontendConfig::zen3();
     let trace = build_trace(AppId::Postgres, InputVariant::DEFAULT, 10_000);
-    let profiles = ProfileInputs::build(&cfg, &trace);
+    let profiles = ProfileInputs::build(&cfg, &trace, &PolicyId::ONLINE);
     let n = trace.len() as u64;
     for id in PolicyId::ONLINE {
         let d = measure(5, || {

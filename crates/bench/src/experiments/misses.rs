@@ -595,14 +595,15 @@ pub fn fig22_hotness(quick: bool) -> Vec<Table> {
         &["policy", "hot (top 10%)", "warm (10-50%)", "cold (50-100%)"],
     );
     // Online policies through the synchronous observer for per-PW hit data.
-    let profiles = crate::policies::ProfileInputs::build(&cfg, &trace);
-    for id in [
+    let roster = [
         PolicyId::Lru,
         PolicyId::Srrip,
         PolicyId::Ghrp,
         PolicyId::Thermometer,
         PolicyId::Furbys,
-    ] {
+    ];
+    let profiles = crate::policies::ProfileInputs::build(&cfg, &trace, &roster);
+    for id in roster {
         let policy = id.build(&cfg, &profiles, 0);
         let mut cache = uopcache_cache::UopCache::new(cfg.uop_cache, policy);
         let (_, obs) = uopcache_policies::run_trace_observed(&mut cache, &trace);

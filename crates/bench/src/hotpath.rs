@@ -430,9 +430,15 @@ fn run_cell(
 pub fn run_hotpath(spec: &HotpathSpec) -> HotpathReport {
     let alloc_counting = CountingAllocator::is_active();
     let mut cells = Vec::with_capacity(spec.apps.len() * spec.policies.len());
+    // Unknown names are skipped here and panic in their own cell.
+    let ids: Vec<PolicyId> = spec
+        .policies
+        .iter()
+        .filter_map(|p| p.parse().ok())
+        .collect();
     for &app in &spec.apps {
         let train = trace_for(app, spec.variant, spec.len);
-        let profiles = ProfileInputs::build(&spec.cfg, &train);
+        let profiles = ProfileInputs::build(&spec.cfg, &train, &ids);
         for policy in &spec.policies {
             cells.push(run_cell(spec, app, policy, &profiles));
         }

@@ -142,7 +142,8 @@ impl PolicyId {
     /// Instantiates the policy. `seed` is the task-key-derived seed and is
     /// only consumed by [`is_seeded`](Self::is_seeded) policies, so parallel
     /// sweeps stay reproducible (the seed is a pure function of the task,
-    /// never of scheduling).
+    /// never of scheduling). `profiles` must have been built for a policy
+    /// list containing `self` (see [`ProfileInputs::build`]).
     pub fn build(
         self,
         cfg: &FrontendConfig,
@@ -251,6 +252,9 @@ impl PolicyRegistry {
 }
 
 /// Profile inputs needed by the profile-guided policies.
+///
+/// Each field is trained only when a policy that reads it is requested
+/// (see [`ProfileInputs::build`]); otherwise it is left empty.
 #[derive(Clone)]
 pub struct ProfileInputs {
     /// Per-start PW-granularity LRU hit rates (Thermometer's profile — a
@@ -261,17 +265,25 @@ pub struct ProfileInputs {
 }
 
 impl ProfileInputs {
-    /// Profiles `train` for all profile-guided policies under `cfg`.
-    pub fn build(cfg: &FrontendConfig, train: &LookupTrace) -> Self {
-        Self::build_with_pipeline(&FurbysPipeline::new(*cfg), train)
-    }
-
-    /// As [`ProfileInputs::build`] with an explicit (possibly customised)
-    /// pipeline.
-    pub fn build_with_pipeline(pipeline: &FurbysPipeline, train: &LookupTrace) -> Self {
+    /// Profiles `train` under `cfg` for `policies`, computing only what they
+    /// read: the LRU hit rates if Thermometer is listed, the FURBYS profile
+    /// (FOO solve, FLACK replay, weights) if FURBYS is. Every other policy
+    /// reads neither, and a profile no listed policy reads stays empty, so
+    /// a [`PolicyId::build`] must only be handed inputs built for a list
+    /// that contains it.
+    pub fn build(cfg: &FrontendConfig, train: &LookupTrace, policies: &[PolicyId]) -> Self {
+        let needs = |id: PolicyId| policies.contains(&id);
         ProfileInputs {
-            lru_rates: lru_pw_hit_rates(train, pipeline.frontend_cfg.uop_cache),
-            furbys: pipeline.profile(train),
+            lru_rates: if needs(PolicyId::Thermometer) {
+                lru_pw_hit_rates(train, cfg.uop_cache)
+            } else {
+                FastHashMap::default()
+            },
+            furbys: if needs(PolicyId::Furbys) {
+                FurbysPipeline::new(*cfg).profile(train)
+            } else {
+                Profile::default()
+            },
         }
     }
 }
@@ -286,7 +298,7 @@ mod tests {
     fn every_listed_policy_builds_under_its_own_name() {
         let cfg = FrontendConfig::zen3();
         let train = trace_for(AppId::Postgres, 0, 3_000);
-        let profiles = ProfileInputs::build(&cfg, &train);
+        let profiles = ProfileInputs::build(&cfg, &train, &PolicyId::ALL);
         for id in PolicyId::ALL {
             let p = id.build(&cfg, &profiles, 7);
             assert_eq!(p.name(), id.name());

@@ -71,7 +71,7 @@ impl Lab {
     pub fn profiles(&mut self, app: AppId, variant: u32) -> &ProfileInputs {
         if !self.profiles.contains_key(&(app, variant)) {
             let trace = self.trace(app, variant).clone();
-            let inputs = ProfileInputs::build(&self.cfg, &trace);
+            let inputs = ProfileInputs::build(&self.cfg, &trace, &PolicyId::ALL);
             self.profiles.insert((app, variant), inputs);
         }
         &self.profiles[&(app, variant)]
@@ -113,7 +113,7 @@ impl Lab {
         let prepared = engine
             .run(missing, move |_key, _seed, app| {
                 let trace = trace_for(app, variant, len);
-                let profiles = ProfileInputs::build(&cfg, &trace);
+                let profiles = ProfileInputs::build(&cfg, &trace, &PolicyId::ALL);
                 (app, trace, profiles)
             })
             .expect_all("prewarm preparation");

@@ -37,6 +37,31 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// function of the task.
 pub const SAMPLE_EVERY: u64 = 64;
 
+/// The most lookups one app's trace may hold (`len × scale`): 2^24, about
+/// 16.8 M, where the largest in-repo use is 12 000 × 100 = 1.2 M. Larger
+/// requests are refused up front ([`SweepSpec::validate`]): allocating such
+/// a trace aborts the process, which no `catch_unwind` can recover from.
+pub const MAX_TRACE_ACCESSES: u64 = 1 << 24;
+
+/// Checks that a trace of `len × scale` lookups may be built: `scale` is at
+/// least 1 and the product, computed without overflow, stays within
+/// [`MAX_TRACE_ACCESSES`].
+///
+/// # Errors
+///
+/// Returns a message naming the violated bound.
+pub fn check_trace_size(len: usize, scale: u64) -> Result<(), String> {
+    if scale == 0 {
+        return Err("scale must be at least 1".to_string());
+    }
+    match (len as u64).checked_mul(scale) {
+        Some(n) if n <= MAX_TRACE_ACCESSES => Ok(()),
+        _ => Err(format!(
+            "len {len} x scale {scale} exceeds {MAX_TRACE_ACCESSES} accesses per app"
+        )),
+    }
+}
+
 /// The process-wide worker count. `0` means "not set": fall back to the
 /// `UOPCACHE_JOBS` environment variable, then to the machine's available
 /// parallelism.
@@ -129,6 +154,26 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
+    /// Checks the spec against the resource ceilings a job is admitted
+    /// under: see [`check_trace_size`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the violated bound.
+    pub fn validate(&self) -> Result<(), String> {
+        check_trace_size(self.len, self.scale)
+    }
+
+    /// The resolved [`PolicyId`] of every policy name that parses, in spec
+    /// order. A name that does not parse is skipped here; its cells fail on
+    /// their own.
+    fn policy_ids(&self) -> Vec<PolicyId> {
+        self.policies
+            .iter()
+            .filter_map(|p| p.parse().ok())
+            .collect()
+    }
+
     /// Renders the spec as canonical JSON — the wire form of a serving job.
     ///
     /// Only the fields that name simulation *work* are included (never the
@@ -178,7 +223,8 @@ impl SweepSpec {
     /// `zen4`); `entries`/`ways` default to that base when absent; `apps`
     /// must name Table II applications; `policies` are resolved against the
     /// full roster (case-insensitively) to their canonical names, so a
-    /// served job keys its tasks exactly like the offline `sweep` CLI.
+    /// served job keys its tasks exactly like the offline `sweep` CLI. The
+    /// result must pass [`validate`](Self::validate).
     ///
     /// # Errors
     ///
@@ -264,9 +310,6 @@ impl SweepSpec {
                 .ok_or_else(|| "field \"metrics\" must be a bool".to_string())?,
         };
         let scale = uint("scale", 1)?;
-        if scale == 0 {
-            return Err("field \"scale\" must be at least 1".to_string());
-        }
         let sample = match j.field("sample") {
             Err(_) => None,
             Ok(v) => {
@@ -279,7 +322,7 @@ impl SweepSpec {
                 Some(s)
             }
         };
-        Ok(SweepSpec {
+        let spec = SweepSpec {
             cfg,
             config_name,
             apps,
@@ -289,7 +332,9 @@ impl SweepSpec {
             metrics,
             sample,
             scale,
-        })
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 
     /// The key segment naming the trace length, e.g. `len100000` — or
@@ -553,8 +598,9 @@ fn round6(x: f64) -> f64 {
 
 /// Runs an `(app × policy)` sweep through `engine`, in two stages:
 ///
-/// 1. one task per app prepares the trace and profile inputs (both pure
-///    functions of `(app, variant, len, cfg)`);
+/// 1. one task per app prepares the trace and the profile inputs the
+///    spec's policies read (pure functions of `(app, variant, len, scale,
+///    cfg)` and the policy list), walking the app's shared static program;
 /// 2. one task per `(app, policy)` runs the timed frontend, seeding any
 ///    randomized policy from the task key.
 ///
@@ -573,6 +619,7 @@ pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
     let variant = spec.variant;
     let len = spec.len;
     let scale = spec.scale;
+    let ids = spec.policy_ids();
 
     let prep_tasks: Vec<(TaskKey, AppId)> = spec
         .apps
@@ -580,9 +627,9 @@ pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
         .map(|&app| (spec.prep_key(app), app))
         .collect();
     let prepared: Vec<(AppId, Arc<(LookupTrace, ProfileInputs)>)> = engine
-        .run(prep_tasks, move |_key, _seed, app| {
+        .run(prep_tasks, |_key, _seed, app| {
             let trace = trace_for_scaled(app, variant, len, scale);
-            let profiles = ProfileInputs::build(&cfg, &trace);
+            let profiles = ProfileInputs::build(&cfg, &trace, &ids);
             (app, Arc::new((trace, profiles)))
         })
         .expect_all("sweep preparation");
@@ -688,6 +735,7 @@ fn run_sampled_sweep(spec: &SweepSpec, engine: &Engine, interval_uops: u64) -> S
     let variant = spec.variant;
     let len = spec.len;
     let scale = spec.scale;
+    let ids = spec.policy_ids();
 
     let prep_tasks: Vec<(TaskKey, AppId)> = spec
         .apps
@@ -695,14 +743,14 @@ fn run_sampled_sweep(spec: &SweepSpec, engine: &Engine, interval_uops: u64) -> S
         .map(|&app| (spec.prep_key(app), app))
         .collect();
     let prepared: Vec<(AppId, Arc<SampledPrep>)> = engine
-        .run(prep_tasks, move |_key, seed, app| {
+        .run(prep_tasks, |_key, seed, app| {
             let trace = trace_for_scaled(app, variant, len, scale);
             let plan = SamplePlan::build(&trace, &SampleConfig::new(interval_uops, seed));
             // Profile-guided policies train on the representative subset,
             // keeping sampled preparation O(k · interval) instead of
             // O(trace) — the whole point at scale 100.
             let train = plan.representative_trace(&trace);
-            let profiles = ProfileInputs::build(&cfg, &train);
+            let profiles = ProfileInputs::build(&cfg, &train, &ids);
             (
                 app,
                 Arc::new(SampledPrep {
@@ -1088,6 +1136,76 @@ mod tests {
                 SweepSpec::from_json(&j).is_err(),
                 "{bad} should be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn oversized_traces_are_refused() {
+        for bad in [
+            r#"{"config":"zen3","apps":["kafka"],"policies":["LRU"],"len":1099511627776}"#,
+            r#"{"config":"zen3","apps":["kafka"],"policies":["LRU"],"len":1000,"scale":1099511627776}"#,
+            // len × scale overflows u64: refused, not wrapped.
+            r#"{"config":"zen3","apps":["kafka"],"policies":["LRU"],"len":4294967296,"scale":4294967296}"#,
+        ] {
+            let j = Json::parse(bad).expect("valid JSON");
+            let err = SweepSpec::from_json(&j).expect_err("oversized");
+            assert!(err.contains("exceeds"), "{bad}: {err}");
+        }
+        let mut spec = tiny_spec();
+        spec.len = 1 << 40;
+        assert!(spec.validate().is_err());
+        spec.len = 1_000;
+        spec.scale = 1 << 40;
+        assert!(spec.validate().is_err());
+        // The ceiling itself is admitted, in either factor.
+        spec.scale = 1;
+        spec.len = MAX_TRACE_ACCESSES as usize;
+        assert_eq!(spec.validate(), Ok(()));
+        spec.len = 1 << 12;
+        spec.scale = 1 << 12;
+        assert_eq!(spec.validate(), Ok(()));
+        spec.scale = (1 << 12) + 1;
+        assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn every_policy_swept_alone_matches_its_cell_in_the_full_registry_sweep() {
+        // A one-policy sweep prepares only the profiles that policy reads;
+        // a policy reading a profile it did not request would see an empty
+        // one and drift from its cell in the all-policy sweep.
+        let cells = |spec: &SweepSpec| -> Vec<(String, String)> {
+            let report = run_sweep(spec, &Engine::new(2));
+            assert!(report.failures.is_empty(), "{:?}", report.failures);
+            let parsed = Json::parse(&report.to_json()).expect("canonical JSON parses");
+            parsed
+                .field("cells")
+                .expect("cells")
+                .as_arr()
+                .expect("array")
+                .iter()
+                .map(|c| {
+                    let key = c.field("key").expect("key").as_str().expect("str");
+                    (key.to_string(), c.to_string())
+                })
+                .collect()
+        };
+        let mut spec = tiny_spec();
+        spec.len = 2_000;
+        spec.policies = PolicyId::ALL
+            .iter()
+            .map(|id| id.name().to_string())
+            .collect();
+        let all = cells(&spec);
+        assert_eq!(all.len(), 2 * PolicyId::ALL.len());
+        for id in PolicyId::ALL {
+            spec.policies = vec![id.name().to_string()];
+            for (key, json) in cells(&spec) {
+                let (_, want) = all
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .expect("same keys in both sweeps");
+                assert_eq!(&json, want, "{id} alone drifted from the full sweep");
+            }
         }
     }
 

@@ -201,9 +201,7 @@ fn cmd_gen(args: &Args) -> Result<(), Box<dyn Error>> {
     let variant = InputVariant::new(args.get_parse("variant", 0u32)?);
     let len = args.get_parse("len", 100_000usize)?;
     let scale = args.get_parse("scale", 1u64)?;
-    if scale == 0 {
-        return Err(Box::new(ArgError("--scale must be at least 1".into())));
-    }
+    sweep::check_trace_size(len, scale).map_err(ArgError)?;
     let out = args.require("output")?;
     let trace = build_trace_scaled(app, variant, len, scale);
     trace_io::save(Path::new(out), &trace)?;
@@ -256,7 +254,7 @@ fn cmd_simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     let id = PolicyRegistry::online()
         .resolve(args.get("policy").unwrap_or("lru"))
         .map_err(ArgError)?;
-    let profiles = ProfileInputs::build(&cfg, &trace);
+    let profiles = ProfileInputs::build(&cfg, &trace, &[id]);
     let result = Frontend::builder(cfg)
         .policy(id.build(&cfg, &profiles, 0))
         .build()
@@ -319,7 +317,7 @@ fn cmd_profile(args: &Args) -> Result<(), Box<dyn Error>> {
 fn cmd_compare(args: &Args) -> Result<(), Box<dyn Error>> {
     let trace = load_trace(args)?;
     let cfg = parse_config(args)?;
-    let profiles = ProfileInputs::build(&cfg, &trace);
+    let profiles = ProfileInputs::build(&cfg, &trace, &PolicyId::ONLINE);
     let mut t = Table::new(
         "policy comparison",
         &["policy", "miss rate", "vs LRU", "IPC", "bypassed"],
@@ -361,8 +359,9 @@ fn cmd_compare(args: &Args) -> Result<(), Box<dyn Error>> {
 
 /// Builds a [`SweepSpec`] from the shared sweep flags (`--apps`,
 /// `--policies`, `--config`, `--entries`, `--ways`, `--variant`, `--len`,
-/// `--metrics`) — the same parsing for `sweep` (offline) and `submit`
-/// (served), so both paths describe identical work.
+/// `--metrics`, `--sample`, `--scale`) — the same parsing for `sweep`
+/// (offline) and `submit` (served), so both paths describe identical work
+/// and pass the same [`SweepSpec::validate`] ceilings.
 fn spec_from_args(args: &Args) -> Result<SweepSpec, Box<dyn Error>> {
     let cfg = parse_config(args)?;
     let config_name = args.get("config").unwrap_or("zen3").to_string();
@@ -401,11 +400,7 @@ fn spec_from_args(args: &Args) -> Result<SweepSpec, Box<dyn Error>> {
             Some(v)
         }
     };
-    let scale = args.get_parse("scale", 1u64)?;
-    if scale == 0 {
-        return Err(Box::new(ArgError("--scale must be at least 1".into())));
-    }
-    Ok(SweepSpec {
+    let spec = SweepSpec {
         cfg,
         config_name,
         apps,
@@ -414,8 +409,10 @@ fn spec_from_args(args: &Args) -> Result<SweepSpec, Box<dyn Error>> {
         len: args.get_parse("len", 100_000usize)?,
         metrics: args.has("metrics"),
         sample,
-        scale,
-    })
+        scale: args.get_parse("scale", 1u64)?,
+    };
+    spec.validate().map_err(ArgError)?;
+    Ok(spec)
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -758,7 +755,7 @@ fn cmd_inspect(args: &Args) -> Result<(), Box<dyn Error>> {
     ]);
     let seed = key.seed();
     let trace = build_trace(app, InputVariant::new(variant), len);
-    let profiles = ProfileInputs::build(&cfg, &trace);
+    let profiles = ProfileInputs::build(&cfg, &trace, &[id]);
     let mut frontend = Frontend::builder(cfg)
         .policy(id.build(&cfg, &profiles, seed))
         .recorder(MetricsRecorder::new(Box::new(SamplingRecorder::new(
@@ -902,13 +899,13 @@ fn cmd_identify(args: &Args) -> Result<(), Box<dyn Error>> {
     let variant = args.get_parse("variant", 0u32)?;
     let len = args.get_parse("len", 4_000usize)?;
     let trace = build_trace(app, InputVariant::new(variant), len);
-    let profiles = ProfileInputs::build(&cfg, &trace);
-    let candidates: Vec<(String, Box<dyn uopcache_cache::PwReplacementPolicy>)> =
-        PolicyRegistry::all()
-            .ids()
-            .iter()
-            .map(|id| (id.name().to_string(), id.build(&cfg, &profiles, 0)))
-            .collect();
+    let registry = PolicyRegistry::all();
+    let profiles = ProfileInputs::build(&cfg, &trace, registry.ids());
+    let candidates: Vec<(String, Box<dyn uopcache_cache::PwReplacementPolicy>)> = registry
+        .ids()
+        .iter()
+        .map(|id| (id.name().to_string(), id.build(&cfg, &profiles, 0)))
+        .collect();
     let table = digest_table(cfg.uop_cache, candidates, &trace);
 
     if let Some(hex) = args.get("digest") {
@@ -1285,6 +1282,23 @@ mod tests {
             ))
             .expect_err(geometry);
             assert!(err.to_string().contains("geometry"), "{geometry}: {err}");
+        }
+    }
+
+    #[test]
+    fn oversized_trace_flags_are_refused_without_aborting() {
+        for cmd in [
+            "sweep --apps kafka --policies lru --len 1099511627776",
+            "sweep --apps kafka --policies lru --len 1000 --scale 1099511627776",
+            "sweep --apps kafka --policies lru --len 1000 --scale 0",
+            "gen --app kafka --len 1099511627776 -o unused.json",
+        ] {
+            let err = run(cmd).expect_err(cmd);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("exceeds") || msg.contains("at least 1"),
+                "{cmd}: {msg}"
+            );
         }
     }
 

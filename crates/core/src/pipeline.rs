@@ -46,7 +46,8 @@ impl OracleKind {
 }
 
 /// A computed profile: hit rates and the hints derived from them.
-#[derive(Clone, Debug)]
+/// `Default` is the empty profile (no hit rates, no hints).
+#[derive(Clone, Debug, Default)]
 pub struct Profile {
     /// Per-start micro-op-weighted hit rates under the oracle's decisions.
     pub hit_rates: FastHashMap<Addr, f64>,

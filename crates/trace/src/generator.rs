@@ -20,18 +20,17 @@ use uopcache_model::LookupTrace;
 /// assert_eq!(a, b);
 /// ```
 pub fn build_trace(app: AppId, variant: InputVariant, accesses: usize) -> LookupTrace {
-    build_trace_with_spec(&app.spec(), variant, accesses)
+    generate(Program::shared(app), &app.spec(), variant, accesses, 1)
 }
 
 /// As [`build_trace`] with an explicit (possibly customised) workload spec.
+/// The static program is synthesized afresh from `spec`.
 pub fn build_trace_with_spec(
     spec: &WorkloadSpec,
     variant: InputVariant,
     accesses: usize,
 ) -> LookupTrace {
-    let program = Program::synthesize(spec);
-    let walker = Walker::new(&program, spec, variant);
-    collect_trace(&program, walker, 64, accesses)
+    generate(&Program::synthesize(spec), spec, variant, accesses, 1)
 }
 
 /// Generates `accesses * scale` lookups as `scale` consecutive execution
@@ -64,10 +63,11 @@ pub fn build_trace_scaled(
     accesses: usize,
     scale: u64,
 ) -> LookupTrace {
-    build_trace_scaled_with_spec(&app.spec(), variant, accesses, scale)
+    generate(Program::shared(app), &app.spec(), variant, accesses, scale)
 }
 
-/// As [`build_trace_scaled`] with an explicit workload spec.
+/// As [`build_trace_scaled`] with an explicit workload spec. The static
+/// program is synthesized afresh from `spec`.
 ///
 /// # Panics
 ///
@@ -78,13 +78,30 @@ pub fn build_trace_scaled_with_spec(
     accesses: usize,
     scale: u64,
 ) -> LookupTrace {
+    generate(&Program::synthesize(spec), spec, variant, accesses, scale)
+}
+
+/// Walks `program` (synthesized from `spec`) for `scale` epochs of
+/// `accesses` lookups each.
+fn generate(
+    program: &Program,
+    spec: &WorkloadSpec,
+    variant: InputVariant,
+    accesses: usize,
+    scale: u64,
+) -> LookupTrace {
     assert!(scale >= 1, "scale must be at least 1");
-    let program = Program::synthesize(spec);
+    let epoch = |e: u64| {
+        let walker = Walker::with_epoch(program, &drifted_spec(spec, e), variant, e);
+        collect_trace(program, walker, 64, accesses)
+    };
+    if scale == 1 {
+        // One epoch is the trace as collected; skip the copy into `out`.
+        return epoch(0);
+    }
     let mut out = LookupTrace::with_capacity(accesses.saturating_mul(scale as usize));
-    for epoch in 0..scale {
-        let espec = drifted_spec(spec, epoch);
-        let walker = Walker::with_epoch(&program, &espec, variant, epoch);
-        out.extend(collect_trace(&program, walker, 64, accesses));
+    for e in 0..scale {
+        out.extend(epoch(e));
     }
     out
 }
@@ -155,6 +172,25 @@ mod tests {
             .filter(|a| first.contains(&a.pw.start.get()))
             .count();
         assert!(revisits * 10 > n * 5, "{revisits} of {n} accesses shared");
+    }
+
+    #[test]
+    fn shared_program_traces_equal_freshly_synthesized_ones() {
+        for app in AppId::ALL {
+            let spec = app.spec();
+            for v in [InputVariant(0), InputVariant(3)] {
+                assert_eq!(
+                    build_trace(app, v, 1_500),
+                    build_trace_with_spec(&spec, v, 1_500),
+                    "{app} {v:?}"
+                );
+                assert_eq!(
+                    build_trace_scaled(app, v, 700, 3),
+                    build_trace_scaled_with_spec(&spec, v, 700, 3),
+                    "{app} {v:?} x3"
+                );
+            }
+        }
     }
 
     #[test]

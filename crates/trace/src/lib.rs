@@ -12,6 +12,8 @@
 //!    behaviour — seeded **per application only**, so every input variant of
 //!    an application shares the same binary (a requirement for profile-guided
 //!    policies to transfer across inputs, as in the paper's Fig. 18).
+//!    [`Program::shared`] synthesizes each application's program once per
+//!    process, and [`build_trace`]/[`build_trace_scaled`] walk that copy.
 //! 2. [`Walker`] walks the program with phase behaviour, Zipfian region
 //!    popularity and stochastic branch outcomes, seeded per
 //!    `(application, input variant)`.

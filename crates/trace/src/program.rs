@@ -1,7 +1,8 @@
 //! Static program synthesis: regions of basic blocks with a fixed address
 //! layout, shared by every input variant of an application.
 
-use crate::workload::WorkloadSpec;
+use crate::workload::{AppId, WorkloadSpec};
+use std::sync::OnceLock;
 use uopcache_model::json::{FromJson, Json, JsonError, ToJson};
 use uopcache_model::json_struct;
 use uopcache_model::rng::{Prng, Rng};
@@ -148,6 +149,29 @@ impl Program {
         Program { regions }
     }
 
+    /// The program of `app`'s canonical spec (`app.spec()`), synthesized on
+    /// first use and then shared for the rest of the process.
+    ///
+    /// A program is a pure function of its spec, so every trace of `app`
+    /// walks this one copy instead of synthesizing its own. The cache holds
+    /// at most one program per application (3.72 MiB for all 11) and is
+    /// never freed. Custom specs go through [`Program::synthesize`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use uopcache_trace::{AppId, Program};
+    ///
+    /// let shared = Program::shared(AppId::Kafka);
+    /// assert_eq!(shared, &Program::synthesize(&AppId::Kafka.spec()));
+    /// assert!(std::ptr::eq(shared, Program::shared(AppId::Kafka)));
+    /// ```
+    pub fn shared(app: AppId) -> &'static Program {
+        static PROGRAMS: [OnceLock<Program>; AppId::ALL.len()] =
+            [const { OnceLock::new() }; AppId::ALL.len()];
+        PROGRAMS[app as usize].get_or_init(|| Program::synthesize(&app.spec()))
+    }
+
     /// Total static micro-ops in the program.
     pub fn total_uops(&self) -> u64 {
         self.regions
@@ -231,7 +255,6 @@ json_struct!(Program { regions });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::AppId;
 
     fn program(app: AppId) -> Program {
         Program::synthesize(&app.spec())
@@ -289,6 +312,14 @@ mod tests {
             // 512 entries * 8 uops = 4096 uops capacity; footprints must be
             // several times larger to reproduce the paper's capacity pressure.
             assert!(p.total_uops() > 4 * 4096, "{app}: {}", p.total_uops());
+        }
+    }
+
+    #[test]
+    fn shared_program_is_the_synthesized_one_for_every_app() {
+        for app in AppId::ALL {
+            assert_eq!(Program::shared(app), &program(app), "{app}");
+            assert!(std::ptr::eq(Program::shared(app), Program::shared(app)));
         }
     }
 

@@ -16,6 +16,9 @@
 //! stack buffers), and for a warmed FOO min-cost-flow solve
 //! ([`FlowGraph`] keeps its CSR, distance, potential and queue buffers
 //! across [`FlowGraph::reset`]).
+//! Finally, a whole LRU-only sweep job (the served-job shape) stays under
+//! a fixed allocation budget once its app's shared program is warm, so
+//! preparation builds only what the job's policies read.
 //! Everything is measured inside one `#[test]` so no concurrently running
 //! test can pollute the global counters.
 //!
@@ -26,9 +29,11 @@ use uopcache::cache::UopCache;
 use uopcache::flow::{FlowGraph, McmfResult};
 use uopcache::model::{Addr, FrontendConfig};
 use uopcache::policies::run_trace;
-use uopcache::trace::{build_trace, AppId, InputVariant};
+use uopcache::trace::{build_trace, AppId, InputVariant, Program};
 use uopcache_bench::hotpath::CountingAllocator;
 use uopcache_bench::policies::{PolicyId, ProfileInputs};
+use uopcache_bench::sweep::{run_sweep, SweepSpec};
+use uopcache_exec::Engine;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -38,6 +43,12 @@ const LEN: usize = 8_000;
 /// Seed for the one seeded policy (Random); any fixed value works, the
 /// budget is about allocations, not decisions.
 const SEED: u64 = 7;
+
+/// Heap allocations allowed to an LRU-only, one-app, len-2000 sweep on a
+/// warm program (688 when pinned). Building the profiles it does not read
+/// would add about 1 970 more and resynthesizing the program about 1 300,
+/// so either regression overshoots the headroom.
+const LRU_JOB_ALLOC_BUDGET: u64 = 900;
 
 /// Runs `trace` once more over a warmed cache and returns how many heap
 /// allocations the pass performed.
@@ -94,6 +105,28 @@ fn foo_network_solve(graph: &mut FlowGraph) -> (McmfResult, u64, u64) {
     (result, calls, bytes)
 }
 
+/// Runs an LRU-only sweep of one app (the shape of a small served job) on
+/// one worker and returns its heap allocations.
+fn lru_job_allocs(app: AppId) -> u64 {
+    let spec = SweepSpec {
+        cfg: FrontendConfig::zen3(),
+        config_name: "zen3".to_string(),
+        apps: vec![app],
+        policies: vec![PolicyId::Lru.name().to_string()],
+        variant: 0,
+        len: 2_000,
+        metrics: false,
+        sample: None,
+        scale: 1,
+    };
+    let engine = Engine::new(1);
+    let before = CountingAllocator::allocations();
+    let report = run_sweep(&spec, &engine);
+    let calls = CountingAllocator::allocations() - before;
+    assert_eq!(report.cells.len(), 1, "the job must produce its cell");
+    calls
+}
+
 #[test]
 fn steady_state_lookup_path_does_not_allocate_for_any_registered_policy() {
     // The counter must actually be live in this binary, or the zero
@@ -108,7 +141,7 @@ fn steady_state_lookup_path_does_not_allocate_for_any_registered_policy() {
         let trace = build_trace(app, InputVariant(0), LEN);
         // Profile construction allocates freely; it happens once per app,
         // outside the measured window, like any offline training pass.
-        let profiles = ProfileInputs::build(&cfg, &trace);
+        let profiles = ProfileInputs::build(&cfg, &trace, &PolicyId::ALL);
         for id in PolicyId::ALL {
             let mut cache = UopCache::new(cfg.uop_cache, id.build(&cfg, &profiles, SEED));
             // Warmup: fill the sets, let ghost rings and side tables reach
@@ -157,5 +190,16 @@ fn steady_state_lookup_path_does_not_allocate_for_any_registered_policy() {
         (calls, bytes),
         (0, 0),
         "warmed FlowGraph reset+rebuild+solve allocated {calls} times ({bytes} bytes)"
+    );
+
+    // A small LRU job, once its app's program is warm, prepares only its
+    // trace: no profile a policy it runs does not read, no second program.
+    let _ = Program::shared(AppId::Kafka);
+    let calls = lru_job_allocs(AppId::Kafka);
+    assert!(
+        calls <= LRU_JOB_ALLOC_BUDGET,
+        "an LRU-only kafka job (len 2000) allocated {calls} times, over the \
+         budget of {LRU_JOB_ALLOC_BUDGET}: is it building profiles LRU does not \
+         read, or synthesizing its program again?"
     );
 }

@@ -110,7 +110,7 @@ fn decision_streams_match_golden_digests() {
     let mut cases = Vec::new();
     for app in apps {
         let train = trace_for(app, 0, LEN);
-        let profiles = ProfileInputs::build(&cfg, &train);
+        let profiles = ProfileInputs::build(&cfg, &train, &PolicyId::ALL);
         for name in policy_names() {
             cases.push(run_cell(app, name, &cfg, &profiles));
         }
@@ -149,7 +149,7 @@ fn decision_streams_match_golden_digests() {
 fn decision_streams_are_reproducible() {
     let cfg = wall_config();
     let train = trace_for(AppId::Postgres, 0, LEN);
-    let profiles = ProfileInputs::build(&cfg, &train);
+    let profiles = ProfileInputs::build(&cfg, &train, &PolicyId::ALL);
     for name in policy_names() {
         let a = run_cell(AppId::Postgres, name, &cfg, &profiles).to_string();
         let b = run_cell(AppId::Postgres, name, &cfg, &profiles).to_string();

@@ -10,6 +10,9 @@
 //!    server keeps serving other clients;
 //! 4. `shutdown` drains in-flight jobs — waiting clients still receive their
 //!    results — and the server thread exits cleanly.
+//!
+//! It also checks admission: a job whose trace would exceed the per-app
+//! ceiling is refused with an error frame before anything is allocated.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -308,6 +311,41 @@ fn panicking_job_returns_an_error_frame_and_the_server_keeps_serving() {
         .expect("still accepting");
 
     second.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits")
+        .expect("clean exit");
+}
+
+#[test]
+fn oversized_trace_is_refused_at_admission_and_the_server_keeps_serving() {
+    // Unchecked, either spec would ask the allocator for terabytes and
+    // abort the daemon, beyond the reach of the executor's catch_unwind.
+    let server = server_with(ServerConfig::default()).spawn().expect("spawn");
+    let mut client = connect(&server);
+    let mut huge_len = spec(&[AppId::Kafka], 1 << 40);
+    huge_len.policies = vec!["LRU".to_string()];
+    let mut huge_scale = spec(&[AppId::Kafka], 1_000);
+    huge_scale.policies = vec!["LRU".to_string()];
+    huge_scale.scale = 1 << 40;
+    for oversized in [huge_len, huge_scale] {
+        match client.submit_and_wait(&oversized, None, Duration::from_secs(30)) {
+            Err(ClientError::Server(message)) => assert!(
+                message.contains("invalid job") && message.contains("exceeds"),
+                "expected an admission error, got {message:?}"
+            ),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+    }
+
+    let healthy = spec(&[AppId::Kafka], 800);
+    let offline = run_sweep(&healthy, &Engine::new(2)).to_json();
+    let outcome = client
+        .submit_and_wait(&healthy, None, Duration::from_secs(120))
+        .expect("server survived the oversized jobs");
+    assert_eq!(outcome.report.to_string(), offline);
+
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
     server
         .join_within(Duration::from_secs(30))
         .expect("server exits")

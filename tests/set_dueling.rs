@@ -271,8 +271,8 @@ fn identify_round_trips_every_registered_policy() {
         f
     };
     let trace = trace_for(uopcache::trace::AppId::Kafka, 0, 2_500);
-    let profiles = ProfileInputs::build(&frontend, &trace);
     let registry = PolicyRegistry::all();
+    let profiles = ProfileInputs::build(&frontend, &trace, registry.ids());
     let table = digest_table(
         quick_cfg(),
         registry
