@@ -1130,6 +1130,8 @@ mod tests {
             r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"entries":7,"ways":3}"#,
             r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"ways":0}"#,
             r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"entries":130,"ways":65}"#,
+            // A buildable shape over MAX_UOP_CACHE_ENTRIES.
+            r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"entries":4294967288}"#,
         ] {
             let j = Json::parse(bad).expect("valid JSON");
             assert!(

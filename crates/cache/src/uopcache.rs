@@ -508,7 +508,7 @@ impl UopCache {
         /// Most candidate sets kept on the stack; a wider span scans all.
         const MAX_CANDIDATES: usize = 16;
         let set_count = self.sets.len();
-        let span = (self.max_pw_bytes + self.line_bytes).saturating_sub(2) / self.line_bytes;
+        let span = (self.max_pw_bytes + self.line_bytes).saturating_sub(2) >> self.set_shift;
         let last = line.base().get() >> self.set_shift;
         let first = last.saturating_sub(span);
         let mut candidates = [0usize; MAX_CANDIDATES];
@@ -517,12 +517,18 @@ impl UopCache {
                 for (c, l) in candidates.iter_mut().zip(first..=last) {
                     *c = self.set_of_line(l);
                 }
-                candidates[..n].sort_unstable();
+                // Ascending already, unless the lines wrap past set 0.
+                if candidates[0] > candidates[n - 1] {
+                    candidates[..n].sort_unstable();
+                }
                 n
             }
             _ => set_count,
         };
         let scan_all = n == set_count;
+        // A window covers `line` iff its byte range overlaps the line's.
+        let line_start = line.base().get();
+        let line_end = line_start + self.line_bytes;
         let mut invalidated = 0;
         for set_idx in (0..n).map(|i| if scan_all { i } else { candidates[i] }) {
             // At most `ways` (≤ 64) victims per set: a stack buffer keeps
@@ -531,7 +537,7 @@ impl UopCache {
             let mut hits = 0;
             for m in self.sets[set_idx]
                 .residents()
-                .filter(|m| m.desc.lines(self.line_bytes).any(|l| l == line))
+                .filter(|m| m.desc.start.get() < line_end && m.desc.end().get() > line_start)
             {
                 victims[hits] = m.slot;
                 hits += 1;

@@ -1276,6 +1276,8 @@ mod tests {
             "--entries 7 --ways 3",
             "--ways 0",
             "--ways 65 --entries 130",
+            // Buildable in shape, but over MAX_UOP_CACHE_ENTRIES.
+            "--entries 4294967288",
         ] {
             let err = run(&format!(
                 "sweep --apps kafka --policies lru --len 1000 {geometry}"

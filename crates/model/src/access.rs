@@ -71,6 +71,11 @@ impl LookupTrace {
         self.accesses.push(access);
     }
 
+    /// Appends a run of accesses (one copy, no per-access iteration).
+    pub fn extend_from_slice(&mut self, accesses: &[PwAccess]) {
+        self.accesses.extend_from_slice(accesses);
+    }
+
     /// Number of lookups.
     pub fn len(&self) -> usize {
         self.accesses.len()
@@ -137,6 +142,12 @@ impl LookupTrace {
         LookupTrace {
             accesses: self.accesses[range].to_vec(),
         }
+    }
+}
+
+impl AsRef<[PwAccess]> for LookupTrace {
+    fn as_ref(&self) -> &[PwAccess] {
+        &self.accesses
     }
 }
 

@@ -121,7 +121,7 @@ impl LineAddr {
         );
         // Masked by `sets - 1`, so the value always fits in usize.
         #[allow(clippy::cast_possible_truncation)]
-        let idx = ((self.0 / line_bytes) & (sets - 1)) as usize;
+        let idx = ((self.0 >> line_bytes.trailing_zeros()) & (sets - 1)) as usize;
         idx
     }
 }

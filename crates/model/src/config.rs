@@ -3,6 +3,12 @@
 
 use crate::json_struct;
 
+/// Largest micro-op cache `entries` a configuration may ask for: 16x the
+/// largest geometry any experiment uses (4 096). A geometry from untrusted
+/// input (a served spec, a CLI flag) above it is refused by
+/// [`UopCacheConfig::validate`] before anything is allocated for it.
+pub const MAX_UOP_CACHE_ENTRIES: u32 = 65_536;
+
 /// Micro-op cache geometry and behaviour.
 ///
 /// Defaults mirror Table I: 512 entries, 8-way, 8 micro-ops per entry,
@@ -77,7 +83,8 @@ impl UopCacheConfig {
 
     /// Checks that the geometry can be built: `ways` in `1..=64` (a set
     /// tracks its slots in one 64-bit mask), `entries` a non-zero multiple
-    /// of `ways`, and `max_entries_per_pw` no larger than `ways`. Callers
+    /// of `ways` and at most [`MAX_UOP_CACHE_ENTRIES`], and
+    /// `max_entries_per_pw` no larger than `ways`. Callers
     /// that take a geometry from untrusted input run this before building a
     /// cache, whose constructors panic on these cases.
     ///
@@ -97,6 +104,11 @@ impl UopCacheConfig {
         if entries == 0 || !entries.is_multiple_of(ways) {
             return Err(ConfigError(format!(
                 "entries must be a non-zero multiple of ways ({ways}), got {entries}"
+            )));
+        }
+        if entries > MAX_UOP_CACHE_ENTRIES {
+            return Err(ConfigError(format!(
+                "entries ({entries}) exceeds the maximum of {MAX_UOP_CACHE_ENTRIES}"
             )));
         }
         if max_entries_per_pw > ways {
@@ -498,7 +510,11 @@ mod tests {
         assert_eq!(UopCacheConfig::zen3().validate(), Ok(()));
         assert_eq!(UopCacheConfig::zen4().validate(), Ok(()));
         assert_eq!(UopCacheConfig::zen3().with_ways(64).validate(), Ok(()));
+        let largest = UopCacheConfig::zen3().with_entries(MAX_UOP_CACHE_ENTRIES);
+        assert_eq!(largest.validate(), Ok(()));
         for bad in [
+            UopCacheConfig::zen3().with_entries(MAX_UOP_CACHE_ENTRIES + 8),
+            UopCacheConfig::zen3().with_entries(u32::MAX - 7),
             UopCacheConfig::zen3().with_entries(7).with_ways(3),
             UopCacheConfig::zen3().with_ways(0),
             UopCacheConfig::zen3().with_entries(130).with_ways(65),

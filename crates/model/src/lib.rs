@@ -34,7 +34,7 @@ pub use access::{LookupTrace, PwAccess};
 pub use addr::{Addr, LineAddr};
 pub use config::{
     BackendConfig, BpuConfig, ConfigError, DecoderConfig, FrontendConfig, IcacheConfig,
-    PerfectStructures, UopCacheConfig,
+    PerfectStructures, UopCacheConfig, MAX_UOP_CACHE_ENTRIES,
 };
 pub use pw::{PwDesc, PwTermination};
 pub use stats::{CacheStats, EventCounts, SimResult, UopCacheStats};

@@ -307,9 +307,10 @@ impl SamplePlan {
             .flat_map(|c| c.points.iter().copied())
             .collect();
         members.sort_unstable();
-        let mut out = LookupTrace::new();
+        let len = members.iter().map(|&m| self.intervals[m].len()).sum();
+        let mut out = LookupTrace::with_capacity(len);
         for m in members {
-            out.extend(trace.slice(self.intervals[m].range()));
+            out.extend_from_slice(&trace.accesses()[self.intervals[m].range()]);
         }
         out
     }

@@ -11,7 +11,8 @@ use uopcache_sim::Frontend;
 /// preceding interval — functional warmup, so the measured interval starts
 /// from a realistically warm cache instead of a cold one), then runs
 /// `measure`. [`Frontend::run`] reports per-run deltas, so the returned
-/// result charges only the measured accesses.
+/// result charges only the measured accesses. Both ranges run in place on
+/// `trace`'s accesses; nothing is copied.
 ///
 /// An empty `warmup` skips warmup (used for intervals at the trace start).
 pub fn simulate_interval(
@@ -22,10 +23,11 @@ pub fn simulate_interval(
     measure: Range<usize>,
 ) -> SimResult {
     let mut fe = Frontend::builder(*cfg).policy(policy).build();
+    let accesses = trace.accesses();
     if !warmup.is_empty() {
-        let _ = fe.run(&trace.slice(warmup));
+        let _ = fe.run(&accesses[warmup]);
     }
-    fe.run(&trace.slice(measure))
+    fe.run(&accesses[measure])
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 use uopcache_cache::{LineCache, LineOutcome, LookupResult, PwReplacementPolicy, UopCache};
-use uopcache_model::{FrontendConfig, LookupTrace, PwDesc, SimResult};
+use uopcache_model::{Addr, FrontendConfig, PwAccess, PwDesc, SimResult};
 #[cfg(feature = "obs")]
 use uopcache_obs::Recorder;
 
@@ -17,10 +17,10 @@ const BTB_MISS_PENALTY: u64 = 2;
 const UOPC_DELIVERY_PER_CYCLE: u64 = 8;
 /// Assumed micro-ops per x86 instruction for instruction-count reporting.
 const UOPS_PER_INST: f64 = 1.12;
-/// Initial capacity of the asynchronous-insertion queue and its drain batch
-/// buffer. In-flight insertions are bounded by the insertion latency (a few
-/// tens of cycles) times one insertion per access, so this comfortably
-/// covers steady state; pathological bursts merely grow the buffers once.
+/// Initial capacity of the asynchronous-insertion queue. In-flight
+/// insertions are bounded by the insertion latency (a few tens of cycles)
+/// times one insertion per access, so this comfortably covers steady state;
+/// pathological bursts merely grow the queue once.
 const INSERT_QUEUE_CAPACITY: usize = 256;
 
 /// Non-architectural simulation switches.
@@ -129,7 +129,6 @@ impl FrontendBuilder {
             l1i,
             btb,
             insert_queue: VecDeque::with_capacity(INSERT_QUEUE_CAPACITY),
-            insert_batch: Vec::with_capacity(INSERT_QUEUE_CAPACITY),
             uopc_mode: false,
             cycle: 0,
             backend_debt: 0.0,
@@ -159,12 +158,9 @@ pub struct Frontend {
     uopc: UopCache,
     l1i: LineCache,
     btb: LineCache,
-    /// Pending asynchronous insertions: (ready_cycle, window).
+    /// Pending asynchronous insertions: (ready_cycle, window), in ready
+    /// order (preallocated, so the per-access drain never allocates).
     insert_queue: VecDeque<(u64, PwDesc)>,
-    /// Reusable batch buffer: insertions due this cycle are staged here
-    /// before being driven into the cache, so the per-access drain never
-    /// allocates (both buffers are preallocated and only ever refilled).
-    insert_batch: Vec<PwDesc>,
     /// Whether the previous window was served by the micro-op cache.
     uopc_mode: bool,
     /// Frontend cycle counter.
@@ -202,17 +198,32 @@ impl Frontend {
         self.uopc.take_recorder()
     }
 
-    /// Drives the lookup trace through the frontend and returns the
-    /// statistics of this run.
-    pub fn run(&mut self, trace: &LookupTrace) -> SimResult {
+    /// Drives a lookup trace — a [`LookupTrace`] or any slice of accesses,
+    /// such as one interval of a longer trace — through the frontend and
+    /// returns the statistics of this run. Once built, a frontend runs
+    /// without allocating (barring a burst of in-flight insertions beyond
+    /// the queue's initial capacity).
+    ///
+    /// [`LookupTrace`]: uopcache_model::LookupTrace
+    pub fn run<T: AsRef<[PwAccess]> + ?Sized>(&mut self, trace: &T) -> SimResult {
+        let trace = trace.as_ref();
+        let line_bytes = u64::from(self.cfg.icache.line_bytes);
+        let line_shift = line_bytes.trailing_zeros();
         let uopc_before = *self.uopc.stats();
         let l1i_before = *self.l1i.stats();
         let btb_before = *self.btb.stats();
         let cycle_before = self.cycle;
         let mut result = SimResult::default();
 
-        for access in trace.iter() {
+        for access in trace {
             let pw = access.pw;
+            // The window's L1i lines: `line_count` bases from `first_line`,
+            // one line apart (the line size is a power of two, so masking
+            // the first and last byte addresses gives their line bases).
+            let first_line = pw.start.get() & !(line_bytes - 1);
+            let last_line = (pw.end().get() - 1) & !(line_bytes - 1);
+            let line_count = ((last_line - first_line) >> line_shift) + 1;
+            let line_at = |k: u64| Addr::new(first_line + (k << line_shift)).line(line_bytes);
             let mut add: u64 = 0;
 
             // Stamp this access's events with the frontend cycle.
@@ -226,10 +237,7 @@ impl Frontend {
             result.events.bp_accesses += 1;
             result.events.btb_accesses += 1;
             if !self.cfg.perfect.btb {
-                if let LineOutcome::Miss { .. } = self
-                    .btb
-                    .access(uopcache_model::Addr::new(pw.start.get()).line(4))
-                {
+                if let LineOutcome::Miss { .. } = self.btb.access(pw.start.line(4)) {
                     add += BTB_MISS_PENALTY;
                 }
             }
@@ -261,9 +269,8 @@ impl Frontend {
                 // tracks micro-op cache hits (no energy is spent — the L1i
                 // array is clock-gated on this path).
                 if !self.cfg.perfect.icache && self.cfg.uop_cache.inclusive_with_l1i {
-                    let line_bytes = u64::from(self.cfg.icache.line_bytes);
-                    for line in pw.lines(line_bytes) {
-                        self.l1i.touch(line);
+                    for k in 0..line_count {
+                        self.l1i.touch(line_at(k));
                     }
                 }
             } else {
@@ -277,14 +284,16 @@ impl Frontend {
                     self.uopc_mode = false;
                     add += u64::from(self.cfg.decoder.latency);
                 }
-                // Fetch the window's lines through L1i.
-                let line_bytes = u64::from(self.cfg.icache.line_bytes);
-                for line in pw.lines(line_bytes) {
-                    result.events.icache_reads += 1;
-                    if self.cfg.perfect.icache {
-                        continue;
-                    }
-                    match self.l1i.access(line) {
+                // Fetch the window's lines through L1i (a perfect L1i is
+                // read but never misses).
+                result.events.icache_reads += line_count;
+                let fetched = if self.cfg.perfect.icache {
+                    0
+                } else {
+                    line_count
+                };
+                for k in 0..fetched {
+                    match self.l1i.access(line_at(k)) {
                         LineOutcome::Hit => {}
                         LineOutcome::Miss { evicted } => {
                             add += L2_LATENCY;
@@ -330,10 +339,11 @@ impl Frontend {
         if self.cfg.perfect.uop_cache {
             // The perfect micro-op cache bypasses the real structure: credit
             // its hits directly.
+            let total_uops = trace.iter().map(|a| u64::from(a.pw.uops)).sum();
             result.uopc.lookups = trace.len() as u64;
             result.uopc.pw_hits = trace.len() as u64;
-            result.uopc.uops_requested = trace.total_uops();
-            result.uopc.uops_hit = trace.total_uops();
+            result.uopc.uops_requested = total_uops;
+            result.uopc.uops_hit = total_uops;
         }
         let mut l1i_stats = *self.l1i.stats();
         l1i_stats.accesses -= l1i_before.accesses;
@@ -366,27 +376,17 @@ impl Frontend {
     }
 
     fn drain_insertions(&mut self) {
-        self.insert_batch.clear();
         while let Some(&(ready, pw)) = self.insert_queue.front() {
             if ready > self.cycle {
                 break;
             }
             self.insert_queue.pop_front();
-            self.insert_batch.push(pw);
-        }
-        for i in 0..self.insert_batch.len() {
-            let pw = self.insert_batch[i];
             self.uopc.insert(&pw);
         }
     }
 
     fn flush_insertions(&mut self) {
-        self.insert_batch.clear();
         while let Some((_, pw)) = self.insert_queue.pop_front() {
-            self.insert_batch.push(pw);
-        }
-        for i in 0..self.insert_batch.len() {
-            let pw = self.insert_batch[i];
             self.uopc.insert(&pw);
         }
     }
@@ -407,7 +407,7 @@ impl std::fmt::Debug for Frontend {
 mod tests {
     use super::*;
     use uopcache_cache::LruPolicy;
-    use uopcache_model::{Addr, PwAccess, PwTermination};
+    use uopcache_model::{LookupTrace, PwTermination};
     use uopcache_trace::{build_trace, AppId, InputVariant};
 
     fn frontend(cfg: FrontendConfig) -> Frontend {
@@ -423,6 +423,15 @@ mod tests {
         assert_eq!(r.uopc.uops_hit + r.uopc.uops_missed, r.uopc.uops_requested);
         assert!(r.events.cycles > 0);
         assert!(r.ipc() > 0.1 && r.ipc() < 6.0, "ipc = {}", r.ipc());
+    }
+
+    #[test]
+    fn a_slice_runs_like_the_trace_it_was_cut_from() {
+        let trace = build_trace(AppId::Kafka, InputVariant(0), 6_000);
+        let copied = frontend(FrontendConfig::zen3()).run(&trace.slice(1_000..6_000));
+        let in_place = frontend(FrontendConfig::zen3()).run(&trace.accesses()[1_000..6_000]);
+        assert_eq!(in_place, copied);
+        assert_eq!(in_place.uopc.lookups, 5_000);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!    results — refuses new work, and exits without touching the backends.
 
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use uopcache_bench::policies::PolicyRegistry;
 use uopcache_bench::sweep::{run_sweep, SweepSpec};
@@ -48,6 +49,28 @@ fn spawn_backend() -> ServerHandle {
         .expect("backend binds on loopback")
         .spawn()
         .expect("backend spawns")
+}
+
+/// Holds backend jobs until opened, so a test can keep a forward in flight
+/// for as long as it needs.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    bell: Condvar,
+}
+
+impl Gate {
+    fn wait_open(&self) {
+        let mut open = self.open.lock().expect("gate lock");
+        while !*open {
+            open = self.bell.wait(open).expect("gate wait");
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().expect("gate lock") = true;
+        self.bell.notify_all();
+    }
 }
 
 fn spawn_router(backends: &[SocketAddr]) -> RouterHandle {
@@ -261,11 +284,24 @@ fn a_dead_backend_is_evicted_and_fresh_jobs_land_elsewhere_byte_identically() {
 
 #[test]
 fn router_shutdown_drains_in_flight_forwards_and_leaves_backends_serving() {
-    let backend = spawn_backend();
+    // The backend runs the real sweep, but only once the gate opens, so
+    // the forward is provably in flight when the drain begins.
+    let gate = Arc::new(Gate::default());
+    let runner_gate = Arc::clone(&gate);
+    let backend = Server::bind_with_runner(
+        ServerConfig::builder().jobs(1).build(),
+        Box::new(move |spec, engine| {
+            runner_gate.wait_open();
+            run_sweep(spec, engine).to_json()
+        }),
+    )
+    .expect("backend binds on loopback")
+    .spawn()
+    .expect("backend spawns");
     let router = spawn_router(&[backend.addr()]);
 
-    // A waiter blocks on a meaty job from its own connection; the shutdown
-    // arrives while it is (very likely) still being forwarded.
+    // A waiter blocks on a job from its own connection; the job is held at
+    // the backend's gate until the draining router has refused new work.
     let slow = spec(AppId::Wordpress, 4_000);
     let slow_offline = run_sweep(&slow, &Engine::new(2)).to_json();
     let router_addr = router.addr();
@@ -303,6 +339,7 @@ fn router_shutdown_drains_in_flight_forwards_and_leaves_backends_serving() {
         .submit(&spec(AppId::Kafka, 300), None, Duration::from_secs(5))
         .expect_err("draining router refuses new work");
     assert!(matches!(err, ClientError::Busy { .. }), "{err}");
+    gate.open();
 
     // ...but the in-flight forward completes and its waiter gets the bytes.
     let outcome = waiter

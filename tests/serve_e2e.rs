@@ -12,7 +12,8 @@
 //!    results — and the server thread exits cleanly.
 //!
 //! It also checks admission: a job whose trace would exceed the per-app
-//! ceiling is refused with an error frame before anything is allocated.
+//! ceiling, or whose micro-op cache geometry exceeds the entry ceiling, is
+//! refused with an error frame before anything is allocated.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -20,7 +21,7 @@ use std::time::Duration;
 use uopcache_bench::policies::PolicyRegistry;
 use uopcache_bench::sweep::{run_sweep, SweepSpec};
 use uopcache_exec::Engine;
-use uopcache_model::FrontendConfig;
+use uopcache_model::{FrontendConfig, MAX_UOP_CACHE_ENTRIES};
 use uopcache_serve::{Client, ClientError, Server, ServerConfig};
 use uopcache_trace::AppId;
 
@@ -343,6 +344,39 @@ fn oversized_trace_is_refused_at_admission_and_the_server_keeps_serving() {
     let outcome = client
         .submit_and_wait(&healthy, None, Duration::from_secs(120))
         .expect("server survived the oversized jobs");
+    assert_eq!(outcome.report.to_string(), offline);
+
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits")
+        .expect("clean exit");
+}
+
+#[test]
+fn oversized_cache_geometry_is_refused_at_admission_and_the_server_keeps_serving() {
+    // A well-formed geometry (a multiple of the ways) far above
+    // MAX_UOP_CACHE_ENTRIES: unchecked, the cache would try to reserve
+    // tens of gigabytes of set storage.
+    let server = server_with(ServerConfig::default()).spawn().expect("spawn");
+    let mut client = connect(&server);
+    let mut oversized = spec(&[AppId::Kafka], 1_000);
+    oversized.policies = vec!["LRU".to_string()];
+    oversized.cfg.uop_cache.entries = u32::MAX - 7;
+    assert!(oversized.cfg.uop_cache.entries > MAX_UOP_CACHE_ENTRIES);
+    match client.submit_and_wait(&oversized, None, Duration::from_secs(30)) {
+        Err(ClientError::Server(message)) => assert!(
+            message.contains("invalid job") && message.contains("exceeds"),
+            "expected an admission error, got {message:?}"
+        ),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+
+    let healthy = spec(&[AppId::Kafka], 800);
+    let offline = run_sweep(&healthy, &Engine::new(2)).to_json();
+    let outcome = client
+        .submit_and_wait(&healthy, None, Duration::from_secs(120))
+        .expect("server survived the oversized geometry");
     assert_eq!(outcome.report.to_string(), offline);
 
     client.shutdown(Duration::from_secs(5)).expect("drain ack");
