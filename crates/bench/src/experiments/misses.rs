@@ -106,8 +106,7 @@ pub fn sec3b_miss_classes(quick: bool) -> Vec<Table> {
 }
 
 /// Per-app offline FLACK miss reduction vs the synchronous LRU baseline,
-/// computed through the engine (one task per app). Exactly
-/// `lab.offline_miss_reduction(Flack::new(), app)`, parallelized.
+/// computed through the engine (one task per app).
 fn offline_flack_reductions(stage: &str, lab: &mut Lab, apps: &[AppId]) -> Vec<f64> {
     let cfg = lab.cfg.uop_cache;
     let tasks: Vec<_> = apps

@@ -453,13 +453,14 @@ pub fn run_hotpath(spec: &HotpathSpec) -> HotpathReport {
 /// Compares a current hotpath report against a committed baseline.
 ///
 /// Both arguments are the canonical JSON renderings ([`HotpathReport::
-/// to_json`]). For every `(app, policy)` cell present in both, the current
-/// mean lookups/sec must be at least `baseline / factor` — a generous gate
-/// (CI uses 3×) that catches kernel-level breakage while tolerating machine
-/// and load variance. Cells present on only one side are ignored (the grid
-/// may grow).
+/// to_json`]). Both must hold the same `(app, policy)` cells, and for each
+/// the current mean lookups/sec must be at least `baseline / factor` — a
+/// generous gate (CI uses 3×) that catches kernel-level breakage while
+/// tolerating machine and load variance. A cell present on only one side is
+/// a failure too: an ungated cell would go unnoticed, so a grown grid needs
+/// a regenerated baseline.
 ///
-/// Returns the list of regression descriptions (empty = gate passed).
+/// Returns the list of failure descriptions (empty = gate passed).
 ///
 /// # Errors
 ///
@@ -511,11 +512,22 @@ pub fn gate_against_baseline(
     let baseline_cells = parse("baseline", baseline)?;
 
     let mut regressions = Vec::new();
+    for (app, policy, _) in &current_cells {
+        if !baseline_cells
+            .iter()
+            .any(|(a, p, _)| a == app && p == policy)
+        {
+            regressions.push(format!(
+                "{app}/{policy}: not in the baseline (regenerate it with UPDATE_BENCH=1)"
+            ));
+        }
+    }
     for (app, policy, base_mean) in &baseline_cells {
         let Some((_, _, cur_mean)) = current_cells
             .iter()
             .find(|(a, p, _)| a == app && p == policy)
         else {
+            regressions.push(format!("{app}/{policy}: in the baseline but not measured"));
             continue;
         };
         if *cur_mean < base_mean / factor {
@@ -583,6 +595,24 @@ mod tests {
         }
         let trip = gate_against_baseline(&json, &fast.to_json(), 3.0).expect("gate parses");
         assert_eq!(trip.len(), report.cells.len());
+    }
+
+    #[test]
+    fn gate_fails_a_cell_present_on_only_one_side() {
+        let spec = tiny_spec();
+        let both = run_hotpath(&spec);
+        let lru_only = run_hotpath(&HotpathSpec {
+            policies: vec!["LRU".to_string()],
+            ..spec
+        });
+        let missing =
+            gate_against_baseline(&lru_only.to_json(), &both.to_json(), 3.0).expect("gate parses");
+        assert_eq!(missing.len(), 1, "{missing:?}");
+        assert!(missing[0].starts_with("kafka/SRRIP: in the baseline but not measured"));
+        let extra =
+            gate_against_baseline(&both.to_json(), &lru_only.to_json(), 3.0).expect("gate parses");
+        assert_eq!(extra.len(), 1, "{extra:?}");
+        assert!(extra[0].starts_with("kafka/SRRIP: not in the baseline"));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # uopcache-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation. Each figure is a `harness = false` bench target (so
-//! `cargo bench` reproduces the whole evaluation) built on the shared
-//! machinery here:
+//! paper's evaluation. Each figure is an entry in the [`experiments`]
+//! registry, run by `uopcache experiment ID` (or all of them by
+//! `uopcache experiment all`), built on the shared machinery here:
 //!
 //! * [`apps`] — the standard application set, trace lengths and cached trace
 //!   construction;
@@ -14,7 +14,10 @@
 //!   `(app × policy)` sweeps with canonical JSON reports;
 //! * [`table`] — paper-vs-measured table rendering;
 //! * [`experiments`] — one function per table/figure, returning structured
-//!   results the `reproduce-all` binary serialises into `EXPERIMENTS.md`.
+//!   results that [`experiments::render_report`] serialises into
+//!   `EXPERIMENTS.md`;
+//! * [`hotpath`] — the cache-kernel throughput benchmark behind
+//!   `uopcache bench-hotpath` and its baseline gate.
 
 pub mod apps;
 pub mod experiments;

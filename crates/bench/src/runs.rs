@@ -1,16 +1,12 @@
 //! Memoised simulation runs shared by the experiment drivers.
 
-use crate::apps::{trace_for, TRACE_LEN};
+use crate::apps::trace_for;
 use crate::policies::{PolicyId, ProfileInputs};
 use crate::sweep::{self, config_label};
 use std::sync::Arc;
-use uopcache_cache::UopCache;
-use uopcache_core::Flack;
 use uopcache_exec::TaskKey;
 use uopcache_model::hash::FastHashMap;
-use uopcache_model::{FrontendConfig, LookupTrace, SimResult, UopCacheStats};
-use uopcache_offline::BeladyPolicy;
-use uopcache_policies::run_trace;
+use uopcache_model::{FrontendConfig, LookupTrace, SimResult};
 use uopcache_sim::{Frontend, SimOptions};
 use uopcache_trace::AppId;
 
@@ -35,11 +31,6 @@ pub struct Lab {
 }
 
 impl Lab {
-    /// Creates a lab for `cfg` with the default trace length.
-    pub fn new(cfg: FrontendConfig) -> Self {
-        Self::with_len(cfg, TRACE_LEN)
-    }
-
     /// Creates a lab with an explicit trace length (sensitivity sweeps use
     /// shorter traces to bound runtime).
     pub fn with_len(cfg: FrontendConfig, len: usize) -> Self {
@@ -193,39 +184,6 @@ impl Lab {
         let lru = self.run_online(PolicyId::Lru, app, 0);
         let r = self.run_online(policy, app, 0);
         r.uopc.miss_reduction_vs(&lru.uopc)
-    }
-
-    /// Runs an offline FLACK variant (synchronous replay) on an app.
-    pub fn run_offline(&mut self, variant: Flack, app: AppId) -> UopCacheStats {
-        let trace = self.trace(app, 0).clone();
-        variant.run(&trace, &self.cfg.uop_cache).stats
-    }
-
-    /// Runs Belady (synchronous) on an app.
-    pub fn run_belady(&mut self, app: AppId) -> UopCacheStats {
-        let trace = self.trace(app, 0).clone();
-        let mut cache = UopCache::new(
-            self.cfg.uop_cache,
-            Box::new(BeladyPolicy::from_trace(&trace)),
-        );
-        run_trace(&mut cache, &trace)
-    }
-
-    /// Synchronous LRU baseline for the offline-bound comparisons.
-    pub fn run_sync_lru(&mut self, app: AppId) -> UopCacheStats {
-        let trace = self.trace(app, 0).clone();
-        let mut cache = UopCache::new(
-            self.cfg.uop_cache,
-            Box::new(uopcache_cache::LruPolicy::new()),
-        );
-        run_trace(&mut cache, &trace)
-    }
-
-    /// Miss reduction of an offline variant vs. the synchronous LRU baseline.
-    pub fn offline_miss_reduction(&mut self, variant: Flack, app: AppId) -> f64 {
-        let lru = self.run_sync_lru(app);
-        let s = self.run_offline(variant, app);
-        s.miss_reduction_vs(&lru)
     }
 }
 

@@ -527,8 +527,10 @@ impl UopCache {
         };
         let scan_all = n == set_count;
         // A window covers `line` iff its byte range overlaps the line's.
+        // Comparing against the line's last byte, not its exclusive end,
+        // cannot overflow for the top line of the address space.
         let line_start = line.base().get();
-        let line_end = line_start + self.line_bytes;
+        let line_last = line_start + (self.line_bytes - 1);
         let mut invalidated = 0;
         for set_idx in (0..n).map(|i| if scan_all { i } else { candidates[i] }) {
             // At most `ways` (≤ 64) victims per set: a stack buffer keeps
@@ -537,7 +539,7 @@ impl UopCache {
             let mut hits = 0;
             for m in self.sets[set_idx]
                 .residents()
-                .filter(|m| m.desc.start.get() < line_end && m.desc.end().get() > line_start)
+                .filter(|m| m.desc.start.get() <= line_last && m.desc.end().get() > line_start)
             {
                 victims[hits] = m.slot;
                 hits += 1;

@@ -79,8 +79,11 @@ commands:
                                     committed BENCH_hotpath.json (default
                                     gate 3x); UPDATE_BENCH=1 rewrites the
                                     baseline instead of gating
-  experiment ID [--quick] [--jobs N]
-                                    regenerate one paper table/figure
+  experiment ID|all [--quick] [--jobs N]
+                                    regenerate one paper table/figure; `all`
+                                    writes the whole EXPERIMENTS.md document
+                                    to stdout (progress on stderr) and exits
+                                    nonzero if any experiment failed
   list-experiments                  show all experiment ids
   audit      [--root DIR] [--allowlist FILE] [--lint-only] [--json] [--graph]
                                     run the workspace lint pass (token rules
@@ -415,14 +418,17 @@ fn spec_from_args(args: &Args) -> Result<SweepSpec, Box<dyn Error>> {
     Ok(spec)
 }
 
+/// Applies `--jobs N`, when given, as the process-wide worker count.
+fn apply_jobs(args: &Args) -> Result<(), ArgError> {
+    if args.get("jobs").is_some() {
+        sweep::set_jobs(args.get_parse("jobs", 0)?);
+    }
+    Ok(())
+}
+
 fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     let spec = spec_from_args(args)?;
-    if let Some(jobs) = args.get("jobs") {
-        sweep::set_jobs(
-            jobs.parse()
-                .map_err(|_| ArgError(format!("--jobs {jobs:?} is not a valid value")))?,
-        );
-    }
+    apply_jobs(args)?;
     let report = run_sweep(&spec, &sweep::engine());
 
     let mut t = Table::new(
@@ -542,12 +548,7 @@ fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
         )));
     }
     spec.sample = Some(interval);
-    if let Some(jobs) = args.get("jobs") {
-        sweep::set_jobs(
-            jobs.parse()
-                .map_err(|_| ArgError(format!("--jobs {jobs:?} is not a valid value")))?,
-        );
-    }
+    apply_jobs(args)?;
     let report = run_sweep(&spec, &sweep::engine());
 
     let mut t = Table::new(
@@ -716,10 +717,10 @@ fn cmd_bench_hotpath(args: &Args) -> Result<(), Box<dyn Error>> {
             println!("baseline gate passed ({gate}x, {path})");
         } else {
             for r in &regressions {
-                eprintln!("regression: {r}");
+                eprintln!("gate failure: {r}");
             }
             return Err(Box::new(ArgError(format!(
-                "{} cell(s) regressed past the {gate}x gate",
+                "{} cell(s) failed the {gate}x baseline gate",
                 regressions.len()
             ))));
         }
@@ -957,20 +958,35 @@ fn cmd_identify(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_experiment(args: &Args) -> Result<(), Box<dyn Error>> {
-    if let Some(jobs) = args.get("jobs") {
-        sweep::set_jobs(
-            jobs.parse()
-                .map_err(|_| ArgError(format!("--jobs {jobs:?} is not a valid value")))?,
-        );
-    }
+    let mut out = String::new();
+    let result = experiment_output(args, &mut out);
+    print!("{out}");
+    result
+}
+
+/// Renders `experiment ID` (one experiment's tables) or `experiment all`
+/// (the whole `EXPERIMENTS.md` document) into `out`. On a failed
+/// experiment `out` still holds the full document, failure rows included.
+fn experiment_output(args: &Args, out: &mut String) -> Result<(), Box<dyn Error>> {
+    use uopcache_bench::experiments;
+
+    apply_jobs(args)?;
     let id = args
         .positional(1)
-        .ok_or_else(|| ArgError("experiment needs an id (see list-experiments)".into()))?;
-    let exp = uopcache_bench::experiments::by_id(id)
-        .ok_or_else(|| ArgError(format!("unknown experiment {id:?}")))?;
-    println!("{} — {}\n", exp.id, exp.caption);
-    for table in (exp.run)(args.has("quick")) {
-        table.print();
+        .ok_or_else(|| ArgError("experiment needs an id or `all` (see list-experiments)".into()))?;
+    let quick = args.has("quick");
+    if id == "all" {
+        return experiments::render_report(&experiments::all(), quick, out).map_err(|failed| {
+            let ids: Vec<&str> = failed.iter().map(|(id, _)| *id).collect();
+            CheckFailed(format!("experiment(s) failed: {}", ids.join(", "))).into()
+        });
+    }
+    let exp =
+        experiments::by_id(id).ok_or_else(|| ArgError(format!("unknown experiment {id:?}")))?;
+    out.push_str(&format!("{} — {}\n\n", exp.id, exp.caption));
+    for table in (exp.run)(quick) {
+        out.push_str(&table.render());
+        out.push('\n');
     }
     Ok(())
 }
@@ -1219,6 +1235,31 @@ mod tests {
         assert!(run("frobnicate").is_err());
         assert!(run("").is_err());
         assert!(run("experiment nope").is_err());
+    }
+
+    #[test]
+    fn experiment_all_renders_every_registered_experiment() {
+        let mut md = String::new();
+        experiment_output(
+            &Args::parse(&["experiment".into(), "all".into(), "--quick".into()]),
+            &mut md,
+        )
+        .unwrap();
+        let sections: Vec<&str> = md
+            .lines()
+            .filter(|l| l.starts_with("## ") && l.contains(" — "))
+            .collect();
+        assert_eq!(sections.len(), 24, "{sections:?}");
+        for exp in uopcache_bench::experiments::all() {
+            assert!(
+                sections
+                    .iter()
+                    .any(|s| s.starts_with(&format!("## {} — ", exp.id))),
+                "{} missing",
+                exp.id
+            );
+        }
+        assert!(!md.contains("FAILED"), "{md}");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! uopcache profile -i kafka.trc --oracle flack -o hints.json
 //! uopcache compare -i kafka.trc
 //! uopcache experiment fig08 [--quick]
+//! uopcache experiment all > EXPERIMENTS.md
 //! uopcache apps
 //! ```
 

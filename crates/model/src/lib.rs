@@ -36,5 +36,5 @@ pub use config::{
     BackendConfig, BpuConfig, ConfigError, DecoderConfig, FrontendConfig, IcacheConfig,
     PerfectStructures, UopCacheConfig, MAX_UOP_CACHE_ENTRIES,
 };
-pub use pw::{PwDesc, PwTermination};
+pub use pw::{PwDesc, PwTermination, MAX_PW_BYTES, MAX_PW_UOPS};
 pub use stats::{CacheStats, EventCounts, SimResult, UopCacheStats};

@@ -2,7 +2,6 @@
 
 use crate::addr::{Addr, LineAddr};
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use crate::json_struct;
 use std::fmt;
 
 /// Why a prediction window ended.
@@ -56,7 +55,56 @@ pub struct PwDesc {
     pub term: PwTermination,
 }
 
+/// Upper bound on [`PwDesc::bytes`] accepted from untrusted input. A window
+/// ends at the first i-cache line boundary it crosses, so it spans at most
+/// one 64-byte line plus the overhang of its last instruction (x86
+/// instructions are at most 15 bytes long): 79 bytes, rounded up to two lines.
+pub const MAX_PW_BYTES: u32 = 128;
+
+/// Upper bound on [`PwDesc::uops`] accepted from untrusted input: the
+/// generator emits at most 4 micro-ops per instruction and every instruction
+/// spans at least one byte.
+pub const MAX_PW_UOPS: u32 = 4 * MAX_PW_BYTES;
+
 impl PwDesc {
+    /// Creates a descriptor from untrusted fields (a trace record), checking
+    /// every invariant the simulator relies on.
+    ///
+    /// # Errors
+    ///
+    /// Rejects zero `uops` or `bytes`, `uops` above [`MAX_PW_UOPS`], `bytes`
+    /// above [`MAX_PW_BYTES`], and a window whose end `start + bytes` does
+    /// not fit in the address space.
+    pub fn try_new(
+        start: Addr,
+        uops: u32,
+        bytes: u32,
+        term: PwTermination,
+    ) -> Result<Self, String> {
+        let at = start.get();
+        if !(1..=MAX_PW_UOPS).contains(&uops) {
+            return Err(format!(
+                "window at {at:#x} has {uops} micro-ops (expected 1..={MAX_PW_UOPS})"
+            ));
+        }
+        if !(1..=MAX_PW_BYTES).contains(&bytes) {
+            return Err(format!(
+                "window at {at:#x} spans {bytes} bytes (expected 1..={MAX_PW_BYTES})"
+            ));
+        }
+        if at.checked_add(u64::from(bytes)).is_none() {
+            return Err(format!(
+                "window at {at:#x} + {bytes} bytes runs past the end of the address space"
+            ));
+        }
+        Ok(PwDesc {
+            start,
+            uops,
+            bytes,
+            term,
+        })
+    }
+
     /// Creates a new descriptor.
     ///
     /// # Panics
@@ -154,12 +202,30 @@ impl FromJson for PwTermination {
     }
 }
 
-json_struct!(PwDesc {
-    start,
-    uops,
-    bytes,
-    term
-});
+impl ToJson for PwDesc {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("start".to_string(), self.start.to_json()),
+            ("uops".to_string(), self.uops.to_json()),
+            ("bytes".to_string(), self.bytes.to_json()),
+            ("term".to_string(), self.term.to_json()),
+        ])
+    }
+}
+
+impl FromJson for PwDesc {
+    /// Parses through [`PwDesc::try_new`], so a window read from a JSON trace
+    /// obeys the same invariants as one read from a binary trace.
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        PwDesc::try_new(
+            FromJson::from_json(j.field("start")?)?,
+            FromJson::from_json(j.field("uops")?)?,
+            FromJson::from_json(j.field("bytes")?)?,
+            FromJson::from_json(j.field("term")?)?,
+        )
+        .map_err(JsonError)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -187,6 +253,41 @@ mod tests {
     #[should_panic(expected = "at least one micro-op")]
     fn zero_uops_rejected() {
         let _ = pw(0, 0, 4);
+    }
+
+    #[test]
+    fn try_new_rejects_what_the_simulator_cannot_hold() {
+        let ok = |start: u64, uops: u32, bytes: u32| {
+            PwDesc::try_new(Addr::new(start), uops, bytes, PwTermination::TakenBranch)
+        };
+        assert_eq!(ok(0x40, 4, 12), Ok(pw(0x40, 4, 12)));
+        assert!(ok(0x40, MAX_PW_UOPS, MAX_PW_BYTES).is_ok());
+        assert!(ok(u64::MAX - 8, 1, 8).is_ok(), "ends exactly at u64::MAX");
+        for (start, uops, bytes) in [
+            (0x40, 0, 4),
+            (0x40, 4, 0),
+            (0x40, 0, 0),
+            (0x40, MAX_PW_UOPS + 1, 4),
+            (0x40, 4, MAX_PW_BYTES + 1),
+            (0x40, u32::MAX, u32::MAX),
+            (u64::MAX - 7, 1, 8),
+            (u64::MAX, 1, 1),
+        ] {
+            assert!(ok(start, uops, bytes).is_err(), "{start:#x} {uops} {bytes}");
+        }
+    }
+
+    #[test]
+    fn json_round_trips_and_rejects_invalid_windows() {
+        let w = pw(0x100, 3, 9);
+        let text = crate::json::to_string(&w);
+        assert_eq!(
+            text,
+            r#"{"start":256,"uops":3,"bytes":9,"term":"taken-branch"}"#
+        );
+        assert_eq!(crate::json::from_str::<PwDesc>(&text), Ok(w));
+        let empty = r#"{"start":256,"uops":0,"bytes":0,"term":"taken-branch"}"#;
+        assert!(crate::json::from_str::<PwDesc>(empty).is_err());
     }
 
     #[test]

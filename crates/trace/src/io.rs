@@ -34,7 +34,9 @@ pub enum TraceIoError {
     /// The stream ended before `count` records were read, or a record is
     /// malformed.
     Truncated,
-    /// A record violates a model invariant (e.g. zero micro-ops).
+    /// A record violates a model invariant: zero or too many micro-ops or
+    /// bytes, or a window running past the end of the address space (see
+    /// [`PwDesc::try_new`]).
     InvalidRecord(String),
 }
 
@@ -117,18 +119,14 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<LookupTrace, TraceIoError> {
         let mut flags = [0u8; 1];
         r.read_exact(&mut flags)
             .map_err(|_| TraceIoError::Truncated)?;
-        if uops == 0 || bytes == 0 {
-            return Err(TraceIoError::InvalidRecord(format!(
-                "window at {start:#x} has uops={uops}, bytes={bytes}"
-            )));
-        }
         let term = if flags[0] & 2 != 0 {
             PwTermination::LineBoundary
         } else {
             PwTermination::TakenBranch
         };
         trace.push(PwAccess {
-            pw: PwDesc::new(Addr::new(start), uops, bytes, term),
+            pw: PwDesc::try_new(Addr::new(start), uops, bytes, term)
+                .map_err(TraceIoError::InvalidRecord)?,
             mispredicted: flags[0] & 1 != 0,
         });
     }

@@ -216,3 +216,51 @@ fn scaled_traces_repeat_phase_structure_without_tiling() {
         }
     }
 }
+
+/// Regression inputs for hostile trace records. Each once panicked the
+/// simulator in a debug build: an empty window (`uops = bytes = 0` in a JSON
+/// trace) underflowed the frontend's line arithmetic, and a window starting
+/// at 2^64 − 8 overflowed `Addr::offset`. Both must now be typed errors.
+#[test]
+fn hostile_trace_records_are_rejected_as_invalid() {
+    use uopcache::trace::io::{load, TraceIoError};
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/inputs");
+    for name in ["empty_window.json", "window_past_address_space.trc"] {
+        match load(&dir.join(name)) {
+            Err(TraceIoError::InvalidRecord(why)) => assert!(why.contains("window at"), "{why}"),
+            other => panic!("{name}: expected InvalidRecord, got {other:?}"),
+        }
+    }
+}
+
+/// A window in the top i-cache line of the address space is valid, and its
+/// line must survive inclusion invalidation: the line's exclusive end is
+/// 2^64, which once overflowed `UopCache::invalidate_line` in a debug build
+/// and silently skipped the invalidation in a release build. The trace puts
+/// such a window in zen3 L1i set 63, then touches eight more lines of that
+/// set so the ninth evicts the top line, then revisits it.
+#[test]
+fn a_window_in_the_top_line_is_invalidated_when_its_line_is_evicted() {
+    use uopcache::cache::LruPolicy;
+    use uopcache::model::FrontendConfig;
+    use uopcache::sim::Frontend;
+    use uopcache::trace::io::load;
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/inputs/window_in_top_line.json");
+    let trace = load(&path).expect("every window in the reproducer is valid");
+    assert_eq!(trace.as_ref()[0].pw.start.get(), u64::MAX - 63);
+    let r = Frontend::builder(FrontendConfig::zen3())
+        .policy(LruPolicy::new())
+        .build()
+        .run(&trace);
+    assert!(
+        r.uopc.inclusion_invalidations >= 1,
+        "evicting the top line must invalidate its window: {:?}",
+        r.uopc
+    );
+    assert_eq!(
+        r.uopc.pw_hits, 0,
+        "the revisit follows the invalidation: {:?}",
+        r.uopc
+    );
+}
